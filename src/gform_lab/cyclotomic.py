@@ -1,14 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-An element is a Fraction coefficient vector over the power basis
-1, z, ..., z^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial, so
-every value has a unique normal form and equality is decidable. The
-compatible system of roots fixes zeta_n := zeta_N^(N/n) inside any ambient
-level N; cross-level operations raise both operands to the lcm level.
+An element is stored as an integer numerator vector over the power basis
+1, z, ..., z^(phi(n)-1), reduced modulo the n-th cyclotomic polynomial, and
+one positive integer denominator: the value is sum(num[i] z^i) / den. After
+every operation den > 0 and gcd(den, *num) == 1 (zero is num = 0, den = 1),
+so every value has a unique normal form and equality is decidable by
+comparing tuples. All arithmetic runs on Python ints and divides out the
+content once per result; Fractions appear only at the API edge (the
+constructor and the `coeffs` view). The compatible system of roots fixes
+zeta_n := zeta_N^(N/n) inside any ambient level N; cross-level operations
+raise both operands to the lcm level.
 
 Supported levels are capped (default 200, override with the
-GFORM_LAB_MAX_LEVEL environment variable) to keep exhaustive exact sweeps at
-desk scale.
+GFORM_LAB_MAX_LEVEL environment variable, a positive integer) to keep
+exhaustive exact sweeps at desk scale.
 """
 
 from __future__ import annotations
@@ -32,12 +37,15 @@ class LevelBoundError(ValueError):
 
 def max_level() -> int:
     raw = os.environ.get(MAX_LEVEL_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_LEVEL
+    if not raw:
+        return DEFAULT_MAX_LEVEL
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{MAX_LEVEL_ENV} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _check_level(n: int) -> None:
@@ -77,23 +85,29 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coefficients of zeta_n^j for j = 0..n-1 (all integers)."""
-    _check_level(n)
-    phi = euler_phi(n)
-    red = tuple(-c for c in cyclotomic_polynomial(n)[:phi])  # z^phi = red
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
-        top = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if top:
-            for i in range(phi):
-                nxt[i] += top * red[i]
-        cur = nxt
-    return tuple(rows)
+def _reduction_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (k, c_k) of Phi_n below its leading term, so that
+    z^phi(n) = -sum c_k z^k."""
+    return tuple((k, c) for k, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
+
+
+def _reduce(n: int, phi: int, raw: list[int]) -> tuple[int, ...]:
+    """Power-basis numerator of sum raw[e] z^e for an integer list raw of
+    length at least phi (consumed): fold exponents modulo n, since z^n = 1,
+    then divide by the monic Phi_n from the top."""
+    if len(raw) > n:
+        folded = raw[:n]
+        for e in range(n, len(raw)):
+            folded[e % n] += raw[e]
+        raw = folded
+    terms = _reduction_terms(n)
+    for d in range(len(raw) - 1, phi - 1, -1):
+        c = raw[d]
+        if c:
+            base = d - phi
+            for k, ck in terms:
+                raw[base + k] -= c * ck
+    return tuple(raw[:phi])
 
 
 @lru_cache(maxsize=None)
@@ -107,43 +121,59 @@ def _trace_table(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_ZERO = Fraction(0)
-
-
 class CyclotomicNumber:
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs):
         _check_level(level)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != euler_phi(level):
             raise ValueError(
                 f"need {euler_phi(level)} coefficients at level {level}, got {len(cs)}"
             )
+        # the lcm of reduced denominators leaves no common factor with den
+        den = lcm(*(c.denominator for c in cs))
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
-    def _raw(cls, level: int, coeffs: tuple[Fraction, ...]) -> "CyclotomicNumber":
+    def _raw(cls, level: int, num: tuple[int, ...], den: int = 1) -> "CyclotomicNumber":
+        """Wrap an integer numerator over den > 0, dividing out their common
+        content so the result is in normal form."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(c // g for c in num)
+                den //= g
         self = object.__new__(cls)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod
     def rational(cls, value, level: int = 1) -> "CyclotomicNumber":
-        phi = euler_phi(level)
-        return cls(level, [Fraction(value)] + [0] * (phi - 1))
+        _check_level(level)
+        q = Fraction(value)
+        return cls._raw(level, (q.numerator,) + (0,) * (euler_phi(level) - 1), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CyclotomicNumber":
         """zeta_n^k at level n."""
         _check_level(n)
-        table = _power_table(n)
-        return cls._raw(n, tuple(Fraction(c) for c in table[k % n]))
+        raw = [0] * n
+        raw[k % n] = 1
+        return cls._raw(n, _reduce(n, euler_phi(n), raw))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- representation plumbing ------------------------------------------
 
@@ -160,17 +190,13 @@ class CyclotomicNumber:
         if new_level % self.level:
             raise ValueError(f"{self.level} does not divide {new_level}")
         _check_level(new_level)
-        table = _power_table(new_level)
         step = new_level // self.level
-        phi = euler_phi(new_level)
-        out = [_ZERO] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(i * step) % new_level]
-                for j, t in enumerate(row):
-                    if t:
-                        out[j] += c * t
-        return CyclotomicNumber._raw(new_level, tuple(out))
+        raw = [0] * new_level
+        for i, c in enumerate(self.num):
+            raw[i * step] = c
+        # Z[zeta_level] = Q(zeta_level) & Z[zeta_new], so the content is kept
+        num = _reduce(new_level, euler_phi(new_level), raw)
+        return CyclotomicNumber._raw(new_level, num, self.den)
 
     def lower_level(self, new_level: int) -> "CyclotomicNumber":
         """Rewrite at a divisor level; ValueError if the value is not in the
@@ -201,9 +227,15 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         a, b = self._align(o)
-        return CyclotomicNumber._raw(
-            a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        )
+        da, db = a.den, b.den
+        if da == db:
+            num = tuple(x + y for x, y in zip(a.num, b.num))
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            num = tuple(x * fa + y * fb for x, y in zip(a.num, b.num))
+            da *= fa
+        return CyclotomicNumber._raw(a.level, num, da)
 
     __radd__ = __add__
 
@@ -220,34 +252,24 @@ class CyclotomicNumber:
         return o + (-self)
 
     def __neg__(self):
-        return CyclotomicNumber._raw(self.level, tuple(-c for c in self.coeffs))
+        return CyclotomicNumber._raw(self.level, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber._raw(self.level, tuple(c * f for c in self.coeffs))
-        a, b = self._align(o)
-        n = a.level
-        phi = len(a.coeffs)
-        raw = [_ZERO] * (2 * phi - 1)
-        for i, ci in enumerate(a.coeffs):
+            return CyclotomicNumber._raw(
+                self.level, tuple(c * other.numerator for c in self.num), self.den * other.denominator
+            )
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        a, b = self._align(other)
+        phi = len(a.num)
+        raw = [0] * (2 * phi - 1)
+        b_terms = [(j, c) for j, c in enumerate(b.num) if c]
+        for i, ci in enumerate(a.num):
             if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        raw[i + j] += ci * cj
-        out = list(raw[:phi])
-        table = _power_table(n)
-        for d in range(phi, len(raw)):
-            cd = raw[d]
-            if cd:
-                row = table[d % n]
-                for i, t in enumerate(row):
-                    if t:
-                        out[i] += cd * t
-        return CyclotomicNumber._raw(n, tuple(out))
+                for j, cj in b_terms:
+                    raw[i + j] += ci * cj
+        return CyclotomicNumber._raw(a.level, _reduce(a.level, phi, raw), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -258,7 +280,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         if self.is_rational():
-            return CyclotomicNumber.rational(Fraction(1) / self.coeffs[0], self.level)
+            return CyclotomicNumber.rational(Fraction(self.den, self.num[0]), self.level)
         n = self.level
         conj = None
         for k in range(2, n):
@@ -303,21 +325,16 @@ class CyclotomicNumber:
         n = self.level
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not a unit mod {n}")
-        table = _power_table(n)
-        phi = len(self.coeffs)
-        out = [_ZERO] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(i * k) % n]
-                for j, t in enumerate(row):
-                    if t:
-                        out[j] += c * t
-        return CyclotomicNumber._raw(n, tuple(out))
+        raw = [0] * n
+        for i, c in enumerate(self.num):
+            raw[i * k % n] = c
+        # an automorphism of Z[zeta_n] keeps the content
+        return CyclotomicNumber._raw(n, _reduce(n, len(self.num), raw), self.den)
 
     def trace_to_rational(self) -> Fraction:
         """Trace down to Q."""
         table = _trace_table(self.level)
-        return sum((c * table[i] for i, c in enumerate(self.coeffs)), Fraction(0))
+        return Fraction(sum(c * t for c, t in zip(self.num, table)), self.den)
 
     def norm_to_rational(self) -> Fraction:
         """Norm down to Q (product over the full Galois orbit)."""
@@ -330,33 +347,32 @@ class CyclotomicNumber:
     # -- predicates and conversions ----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
         """True iff the value lies in Z[zeta_n] (the full ring of integers)."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if self.level == o.level:
-            return self.coeffs == o.coeffs
-        a, b = self._align(o)
-        return a.coeffs == b.coeffs
+            return self.is_rational() and self.num[0] == other * self.den
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        if self.level == other.level:
+            return self.num == other.num and self.den == other.den
+        a, b = self._align(other)
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # values at different levels compare equal; not hashable
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .arith import (
@@ -74,15 +74,17 @@ class PeriodField:
         return acc
 
     def _init_expansion(self):
-        cols = [eta.coeffs for eta in self.periods]
-        nrows = len(cols[0])
-        self._embed_matrix = [[col[i] for col in cols] for i in range(nrows)]
-        pivots = linalg._independent_rows(
-            [[int(x) for x in row] for row in self._embed_matrix], self.degree
-        )
+        # periods are sums of roots of unity, so their numerators over den 1
+        # are the integer columns of the embedding into Q(zeta_f)
+        cols = [eta.num for eta in self.periods]
+        self._embed_matrix = [list(row) for row in zip(*cols)]
+        pivots = linalg._independent_rows(self._embed_matrix, self.degree)
         self._pivot_rows = pivots
-        sub = [self._embed_matrix[i] for i in pivots]
-        self._pivot_inverse = linalg.inverse(sub)
+        inv = linalg.inverse([self._embed_matrix[i] for i in pivots])
+        # the pivot inverse as an integer matrix over one denominator
+        den = lcm(*(x.denominator for row in inv for x in row))
+        self._pivot_den = den
+        self._pivot_inverse = [[int(x * den) for x in row] for row in inv]
 
     def _init_tables(self):
         p, f = self.degree, self.conductor
@@ -138,12 +140,14 @@ class PeriodField:
         """Period-basis coordinates of x; raises ValueError if x is not in
         the field (checked against the full embedding, not just the pivots)."""
         x = x.raise_level(self.conductor)
-        rhs = [x.coeffs[i] for i in self._pivot_rows]
-        v = linalg.mat_vec(self._pivot_inverse, rhs)
-        for i, row in enumerate(self._embed_matrix):
-            if sum(a * b for a, b in zip(row, v)) != x.coeffs[i]:
+        num, scale = x.num, self._pivot_den
+        # w / scale are the coordinates of the numerator vector num
+        w = linalg.mat_vec(self._pivot_inverse, [num[i] for i in self._pivot_rows])
+        for row, c in zip(self._embed_matrix, num):
+            if sum(a * b for a, b in zip(row, w)) != c * scale:
                 raise ValueError("value does not lie in the period field")
-        return tuple(v)
+        den = scale * x.den
+        return tuple(Fraction(c, den) for c in w)
 
     def contains(self, x: CyclotomicNumber) -> bool:
         try:

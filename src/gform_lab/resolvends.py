@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import is_prime, units_mod
 from .cyclotomic import CyclotomicNumber
@@ -258,14 +259,18 @@ class ReducedResolvend:
 
 
 def _orbit_key(r: GroupRingElement):
+    """The coefficient vectors of r scaled to one common denominator, which
+    orders candidates as their Fraction coefficient vectors do: every
+    candidate of an orbit has the same coefficients, so the same scale."""
     level = r.coefficient_level()
-    key = []
+    values = []
     for s in r.group.elements():
         c = r.coefficient(s)
         if not isinstance(c, CyclotomicNumber):
             c = CyclotomicNumber.rational(c, 1)
-        key.append(c.raise_level(level).coeffs)
-    return key
+        values.append(c.raise_level(level))
+    den = lcm(*(c.den for c in values))
+    return [tuple(x * (den // c.den) for x in c.num) for c in values]
 
 
 def reduced_resolvend(a: AlgebraElement) -> ReducedResolvend:

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
+
+from gform_lab.arith import euler_phi
 
 from gform_lab.cyclotomic import (
     CyclotomicNumber,
@@ -72,6 +76,14 @@ def test_level_cap(monkeypatch):
         Z(91)
     monkeypatch.delenv("GFORM_LAB_MAX_LEVEL")
     Z(91)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+def test_level_cap_rejects_malformed_value(monkeypatch, raw):
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", raw)
+    with pytest.raises(ValueError, match=f"GFORM_LAB_MAX_LEVEL.*{raw!r}") as info:
+        Z(7)
+    assert not isinstance(info.value, LevelBoundError)
 
 
 def test_galois_action():
@@ -150,3 +162,96 @@ def test_json_roundtrip_shape():
     j = (Z(5) / 3).to_json()
     assert j["level"] == 5
     assert j["coeffs"][1] == "1/3"
+
+
+# -- differential checks of the integer-numerator core against sympy --------
+
+X = sympy.symbols("x")
+LEVELS = [1, 3, 7, 9, 15, 21]
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+def cyclo(level):
+    phi = euler_phi(level)
+    return st.lists(small_fractions, min_size=phi, max_size=phi).map(
+        lambda cs: CyclotomicNumber(level, cs)
+    )
+
+
+@st.composite
+def same_level_pair(draw):
+    n = draw(st.sampled_from(LEVELS))
+    return draw(cyclo(n)), draw(cyclo(n))
+
+
+def to_sympy(x):
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(x.coeffs)], X, domain="QQ"
+    )
+
+
+def phi_poly(n):
+    return sympy.Poly(list(reversed(cyclotomic_polynomial(n))), X, domain="QQ")
+
+
+def assert_canonical(x):
+    assert len(x.num) == euler_phi(x.level)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=same_level_pair())
+def test_product_matches_sympy_remainder(pair):
+    a, b = pair
+    n = a.level
+    rem = sympy.rem(to_sympy(a) * to_sympy(b), phi_poly(n))
+    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    expected += [Fraction(0)] * (euler_phi(n) - len(expected))
+    assert (a * b).coeffs == tuple(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from(LEVELS))
+def test_norm_matches_sympy_resultant(data, n):
+    a = data.draw(cyclo(n))
+    res = sympy.resultant(phi_poly(n), to_sympy(a))
+    assert a.norm_to_rational() == Fraction(int(res.p), int(res.q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=same_level_pair(), q=small_fractions)
+def test_results_are_in_canonical_form(pair, q):
+    a, b = pair
+    n = a.level
+    for x in (a, b, a + b, a - b, a - a, a * b, a * q, a + q, -a):
+        assert_canonical(x)
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    for k in units:
+        assert_canonical(a.galois(k))
+    for m in (2, 3):
+        assert_canonical(a.raise_level(n * m))
+    if not a.is_zero():
+        assert_canonical(a.inverse())
+    assert_canonical(CyclotomicNumber(n, [Fraction(2, 4)] * euler_phi(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=cyclo(3), b=cyclo(7), c=cyclo(21))
+def test_one_value_by_two_routes_has_one_representation(a, b, c):
+    left, right = (a * b) * c, a * (b * c)
+    assert (left.level, left.num, left.den) == (right.level, right.num, right.den)
+    left, right = (a + b) + c, a + (b + c)
+    assert (left.level, left.num, left.den) == (right.level, right.num, right.den)
+    mixed = (a * 3 + b) * Fraction(1, 6)
+    again = a * Fraction(1, 2) + b * Fraction(1, 6)
+    assert (mixed.level, mixed.num, mixed.den) == (again.level, again.num, again.den)
+
+
+def test_coeffs_view_is_the_fraction_vector():
+    x = CyclotomicNumber(7, [Fraction(1, 2), 0, Fraction(-3, 4), 2, 0, Fraction(5, 6)])
+    assert (x.num, x.den) == ((6, 0, -9, 24, 0, 10), 12)
+    assert x.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4), 2, 0, Fraction(5, 6))
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert (Q(0, 7).num, Q(0, 7).den) == ((0,) * 6, 1)

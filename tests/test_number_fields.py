@@ -108,6 +108,20 @@ def test_coordinates_roundtrip(k7):
         k7.coordinates(Z(7))  # zeta_7 itself is not in the cubic field
 
 
+@pytest.mark.parametrize("conductor", [7, 13])
+def test_coordinates_checks_every_row_of_the_embedding(conductor):
+    # a power-basis vector that vanishes on the pivot rows solves to zero
+    # coordinates there, so only the remaining rows can reject it
+    K = build_field(3, conductor)
+    rows = len(K.periods[0].num)
+    others = [i for i in range(rows) if i not in K._pivot_rows]
+    assert others
+    for i in others:
+        x = CyclotomicNumber(conductor, [Fraction(int(j == i), 5) for j in range(rows)])
+        with pytest.raises(ValueError, match="does not lie in the period field"):
+            K.coordinates(x)
+
+
 def test_prime_above_and_ramification(k7):
     L = prime_above(k7, 7)
     assert L.norm() == 7
