@@ -18,8 +18,6 @@ from .groups import (
 )
 from .cyclotomic import (
     CyclotomicNumber,
-    GaloisAutomorphism,
-    apply_galois,
     compatible_root,
     cyclotomic_polynomial,
     trace_to_subfield,

@@ -19,7 +19,6 @@ exhaustive exact sweeps at desk scale.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -211,7 +210,7 @@ class CyclotomicNumber:
         ]
         mat = [[col[i] for col in cols] for i in range(euler_phi(self.level))]
         try:
-            sol = linalg.solve_overdetermined(mat, list(self.coeffs))
+            sol = linalg.solve(mat, list(self.coeffs))
         except ValueError as exc:
             raise ValueError(f"value is not in Q(zeta_{new_level})") from exc
         return CyclotomicNumber(new_level, sol)
@@ -294,16 +293,18 @@ class CyclotomicNumber:
         return result
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero in a cyclotomic field")
+            return self * (Fraction(1) / other)
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, e: int):
         e = int(e)
@@ -393,33 +394,6 @@ class CyclotomicNumber:
             "level": self.level,
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
         }
-
-
-@dataclass(frozen=True)
-class GaloisAutomorphism:
-    """sigma_k : zeta_n -> zeta_n^k on Q(zeta_n)."""
-
-    level: int
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % self.level if self.level > 1 else 1)
-        if gcd(self.k, self.level) != 1:
-            raise ValueError(f"{self.k} is not a unit mod {self.level}")
-
-    def __call__(self, x: CyclotomicNumber) -> CyclotomicNumber:
-        return apply_galois(self, x)
-
-    def compose(self, other: "GaloisAutomorphism") -> "GaloisAutomorphism":
-        if self.level != other.level:
-            raise ValueError("automorphism levels differ")
-        return GaloisAutomorphism(self.level, self.k * other.k)
-
-
-def apply_galois(sigma: GaloisAutomorphism, x: CyclotomicNumber) -> CyclotomicNumber:
-    if sigma.level != x.level:
-        raise ValueError(f"automorphism level {sigma.level} != value level {x.level}")
-    return x.galois(sigma.k)
 
 
 def compatible_root(n: int, ambient: int) -> CyclotomicNumber:

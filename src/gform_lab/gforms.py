@@ -248,11 +248,6 @@ def find_self_dual_generator(form: GForm) -> IsometryWitness | None:
     return None
 
 
-def norm_one_vectors(form: GForm) -> list[tuple[int, ...]]:
-    """All vectors with T(x, x) = 1, up to sign."""
-    return linalg.quadratic_solutions([list(r) for r in form.gram], 1)
-
-
 def witness_element(form: GForm, witness: IsometryWitness) -> AlgebraElement:
     """Present a witness on an A-form as an element of the Galois algebra."""
     if form.field is None or form.hom is None:

@@ -14,6 +14,7 @@ import enum
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
 from .cyclotomic import CyclotomicNumber
 from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError
 
@@ -388,27 +389,13 @@ def invert_by_linear_solve(gamma: GroupRingElement) -> GroupRingElement:
     representation by exact Gaussian elimination."""
     G = gamma.group
     elems = G.elements()
-    n = len(elems)
-    mat = regular_representation_matrix(gamma)
-    rhs = [Fraction(0)] * n
+    rhs = [Fraction(0)] * len(elems)
     rhs[0] = Fraction(1)  # identity is first in enumeration order
-
-    # generic field Gaussian elimination (works for Fractions and cyclotomics)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not _is_zero(a[i][col])), None)
-        if piv is None:
-            raise NotInvertible("regular representation is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pivot = a[col][col]
-        pinv = pivot.inverse() if isinstance(pivot, CyclotomicNumber) else 1 / pivot
-        a[col] = [x * pinv for x in a[col]]
-        for i in range(n):
-            if i != col and not _is_zero(a[i][col]):
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    coeffs = {elems[i]: _demote(a[i][n]) for i in range(n)}
-    out = GroupRingElement(G, coeffs)
+    try:
+        x = linalg.solve(regular_representation_matrix(gamma), rhs)
+    except ValueError as exc:
+        raise NotInvertible("regular representation is singular") from exc
+    out = GroupRingElement(G, {s: _demote(c) for s, c in zip(elems, x)})
     if not (out * gamma == GroupRingElement.one(G)):
         raise ArithmeticError("linear-solve inverse verification failed")
     return out

@@ -1,14 +1,27 @@
 """Exact dense linear algebra over Z and Q.
 
-Matrices are lists of row lists; entries are python ints or Fractions.
-Everything is small (rank <= ~100) and exact, so plain Gaussian elimination
-and textbook normal-form algorithms are used throughout.
+Matrices are lists of row lists; entries are python ints, Fractions or, in
+the field routines, CyclotomicNumbers. Everything is small (rank <= ~100)
+and exact. Two cores do all the elimination:
+
+- `_hnf_in_place`, the integer row Hermite normal form by unimodular row
+  operations (Cohen, GTM 138, section 2.4). `hnf` and `hnf_with_transform`
+  are thin entry points over it, and `integer_kernel` reaches it through
+  them.
+- `_eliminate`, Gaussian elimination over a field (Cohen, section 2.2).
+  `det` and `independent_rows` clear below the pivots only; `inverse` and
+  `solve` clear above them too.
+
+`preimage_lattice` uses both: the HNF of the scaled rows, then its inverse.
+
+`quadratic_solutions` enumerates the vectors of a given length over an exact
+LDL decomposition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -53,6 +66,48 @@ def mat_eq(a, b) -> bool:
 # integer normal forms
 
 
+def _hnf_in_place(mat: list[list[int]], ncols: int) -> int:
+    """Bring the first ncols columns of the integer rows of mat to canonical
+    row HNF in place, carrying any trailing columns along; returns the rank.
+
+    Pivots are positive and entries above a pivot are reduced into [0, pivot)
+    as soon as it is found, which tames entry growth. The pivot rows come
+    first, the rows below them are zero in the first ncols columns.
+    """
+    m = len(mat)
+    r = 0
+    for col in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        rp = mat[r]
+        # rows from r on are zero left of col, so only the tail changes
+        for i in range(r + 1, m):
+            ri = mat[i]
+            b = ri[col]
+            if b == 0:
+                continue
+            a = rp[col]
+            g, x, y = xgcd(a, b)
+            u, v = a // g, b // g
+            for j in range(col, len(rp)):
+                rj, sj = rp[j], ri[j]
+                rp[j] = x * rj + y * sj
+                ri[j] = -v * rj + u * sj
+        if rp[col] < 0:
+            mat[r] = rp = [-x for x in rp]
+        p = rp[col]
+        for i in range(r):
+            q = mat[i][col] // p
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], rp)]
+        r += 1
+    return r
+
+
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Canonical row Hermite normal form of the lattice spanned by `rows`.
 
@@ -62,80 +117,17 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     mat = [list(r) for r in rows if any(r)]
     if not mat:
         return []
-    ncols = len(mat[0])
-    pr = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(pr, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        for i in range(pr + 1, len(mat)):
-            b = mat[i][col]
-            if b == 0:
-                continue
-            a = mat[pr][col]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            rp, ri = mat[pr], mat[i]
-            for j in range(ncols):
-                rj, sj = rp[j], ri[j]
-                rp[j] = x * rj + y * sj
-                ri[j] = -v * rj + u * sj
-        if mat[pr][col] < 0:
-            mat[pr] = [-x for x in mat[pr]]
-        p = mat[pr][col]
-        for i in range(pr):
-            q = mat[i][col] // p
-            if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pr])]
-        pr += 1
-        if pr == len(mat):
-            break
-    return [r for r in mat[:pr] if any(r)]
+    return mat[: _hnf_in_place(mat, len(mat[0]))]
 
 
 def hnf_with_transform(rows: list[list[int]]):
     """(H, U, r) with U unimodular, U @ rows stacking the canonical HNF H (r
-    rows) over zero rows. Entry growth is tamed by reducing above each pivot
-    as soon as it is found."""
+    rows) over zero rows."""
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     mat = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
-    pr = 0
-    for col in range(ncols):
-        piv = next((i for i in range(pr, m) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        for i in range(pr + 1, m):
-            b = mat[i][col]
-            if b == 0:
-                continue
-            a = mat[pr][col]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            rp, ri = mat[pr], mat[i]
-            for j in range(len(rp)):
-                rj, sj = rp[j], ri[j]
-                rp[j] = x * rj + y * sj
-                ri[j] = -v * rj + u * sj
-        if mat[pr][col] < 0:
-            mat[pr] = [-x for x in mat[pr]]
-        p = mat[pr][col]
-        for i in range(pr):
-            q = mat[i][col] // p
-            if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pr])]
-        pr += 1
-        if pr == m:
-            break
-    H = [row[:ncols] for row in mat[:pr]]
-    U = [row[ncols:] for row in mat]
-    return H, U, pr
+    r = _hnf_in_place(mat, ncols)
+    return [row[:ncols] for row in mat[:r]], [row[ncols:] for row in mat], r
 
 
 def integer_kernel(mat: list[list[int]]) -> list[list[int]]:
@@ -151,177 +143,104 @@ def preimage_lattice(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """Basis of {x in Q^n : mat @ x in Z^m} for a rational matrix of full
     column rank, returned as (rows, den): the lattice is (1/den) * rowspan(rows).
     """
-    m = len(mat)
     n = len(mat[0])
-    d = 1
-    for row in mat:
-        for c in row:
-            c = Fraction(c)
-            d = d * c.denominator // gcd(d, c.denominator)
-    A = [[int(Fraction(c) * d) for c in row] for row in mat]
-    # bound denominators: D * L is an integer lattice for D the determinant of
-    # any nonsingular n x n submatrix of A
-    pivot_rows = _independent_rows(A, n)
-    D = abs(int(det([A[i] for i in pivot_rows])))
-    if D == 0:
+    q = [[Fraction(c) for c in row] for row in mat]
+    d = lcm(*(c.denominator for row in q for c in row))
+    # the rows of d * mat span the lattice of the HNF H, so the preimage is
+    # {x : H @ x in d * Z^n}, spanned by the columns of d * H^-1
+    H = hnf([[int(c * d) for c in row] for row in q])
+    if len(H) != n:
         raise ValueError("matrix does not have full column rank")
-    q = D * d
-    C = [row + [q if k == i else 0 for k in range(m)] for i, row in enumerate(A)]
-    kernel = integer_kernel(C)
-    proj = hnf([row[:n] for row in kernel])
-    if len(proj) != n:
-        raise ArithmeticError("preimage lattice has unexpected rank")
-    den = D
-    g = den
-    for row in proj:
-        for c in row:
-            g = gcd(g, c)
-    if g > 1:
-        proj = [[c // g for c in row] for row in proj]
-        den //= g
-    return proj, den
-
-
-def _independent_rows(A: list[list[int]], n: int) -> list[int]:
-    """Indices of n rows of A forming a nonsingular n x n submatrix."""
-    chosen = []
-    basis: list[list[Fraction]] = []
-    for idx, row in enumerate(A):
-        v = [Fraction(x) for x in row]
-        for b in basis:
-            lead = next((j for j in range(n) if b[j]), None)
-            if lead is not None and v[lead]:
-                f = v[lead] / b[lead]
-                v = [x - f * y for x, y in zip(v, b)]
-        if any(v):
-            basis.append(v)
-            chosen.append(idx)
-            if len(chosen) == n:
-                return chosen
-    raise ValueError("matrix does not have full column rank")
+    den = prod(H[i][i] for i in range(n))
+    hinv = inverse(H)
+    rows = hnf([[int(hinv[i][j] * d * den) for i in range(n)] for j in range(n)])
+    g = gcd(den, *(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows], den // g
 
 
 # ---------------------------------------------------------------------------
-# rational Gaussian elimination
+# field elimination
+
+
+_ONE = Fraction(1)
+
+
+def _eliminate(a: list[list], ncols: int, above: bool = True):
+    """Gaussian elimination in place on the first ncols columns of the rows
+    of a, carrying any trailing columns along; returns (pivot columns, signed
+    pivot product).
+
+    Entries are ints, Fractions or CyclotomicNumbers; the one division, the
+    pivot inverse, is taken from a Fraction, so ints stay exact. The pivot
+    is the first nonzero entry at or below the current row; its row is
+    scaled to a leading 1 and its column is cleared below it, and above it
+    too when `above` is set (reduced row echelon form). For a square
+    nonsingular a the signed pivot product is its determinant.
+    """
+    m = len(a)
+    pivots = []
+    pivot_prod = _ONE
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            pivot_prod = -pivot_prod
+        row = a[r]
+        p = row[c]
+        pivot_prod = pivot_prod * p
+        inv = _ONE / p
+        # rows from r on are zero left of c: only the nonzero tail matters
+        tail = [(j, row[j] * inv) for j in range(c, len(row)) if row[j] != 0]
+        for j, y in tail:
+            row[j] = y
+        for i in range(0 if above else r + 1, m):
+            ai = a[i]
+            f = ai[c]
+            if i != r and f != 0:
+                for j, y in tail:
+                    ai[j] -= f * y
+        pivots.append(c)
+        r += 1
+    return pivots, pivot_prod
+
+
+def independent_rows(mat) -> list[int]:
+    """Indices of the greedy-first rows of mat that form a basis of its row
+    span: the pivot columns of the transpose."""
+    pivots, _ = _eliminate(transpose(mat), len(mat), above=False)
+    return pivots
 
 
 def det(mat) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * d
+    a = [list(row) for row in mat]
+    pivots, d = _eliminate(a, len(a), above=False)
+    return d if len(pivots) == len(a) else Fraction(0)
 
 
-def inverse(mat) -> list[list[Fraction]]:
+def inverse(mat) -> list[list]:
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    if len(_eliminate(a, n)[0]) < n:
+        raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in a]
 
 
-def solve(mat, rhs) -> list[Fraction]:
-    """Solve mat @ x = rhs for square nonsingular mat."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [a[i][n] for i in range(n)]
-
-
-def solve_overdetermined(mat, rhs) -> list[Fraction]:
-    """Solve mat @ x = rhs exactly where mat (m x n, m >= n) has full column
-    rank; raises ValueError if the system is inconsistent."""
-    m = len(mat)
+def solve(mat, rhs) -> list:
+    """The x with mat @ x = rhs, where mat (m x n, m >= n) has full column
+    rank; raises ValueError if the rank is short or the system inconsistent.
+    Entries may be Fractions or CyclotomicNumbers."""
     n = len(mat[0])
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    if r < n:
+    a = [list(row) + [b] for row, b in zip(mat, rhs, strict=True)]
+    if len(_eliminate(a, n)[0]) < n:
         raise ValueError("matrix does not have full column rank")
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise ValueError("inconsistent overdetermined system")
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = a[i][n]
-    return x
-
-
-def kernel_mod_prime(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel of mat over F_p, entries lifted to [0, p)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [[x % p for x in row] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for c, rr in pivots.items():
-            v[c] = (-a[rr][fc]) % p
-        basis.append(v)
-    return basis
+    if any(row[n] != 0 for row in a[n:]):
+        raise ValueError("inconsistent overdetermined system")
+    return [row[n] for row in a[:n]]
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,9 @@ class PeriodField:
         # are the integer columns of the embedding into Q(zeta_f)
         cols = [eta.num for eta in self.periods]
         self._embed_matrix = [list(row) for row in zip(*cols)]
-        pivots = linalg._independent_rows(self._embed_matrix, self.degree)
+        pivots = linalg.independent_rows(self._embed_matrix)
+        if len(pivots) < self.degree:
+            raise FieldConstructionError("periods are linearly dependent")
         self._pivot_rows = pivots
         inv = linalg.inverse([self._embed_matrix[i] for i in pivots])
         # the pivot inverse as an integer matrix over one denominator
@@ -149,13 +151,6 @@ class PeriodField:
         den = scale * x.den
         return tuple(Fraction(c, den) for c in w)
 
-    def contains(self, x: CyclotomicNumber) -> bool:
-        try:
-            self.coordinates(x)
-            return True
-        except ValueError:
-            return False
-
     def sigma(self, x: CyclotomicNumber, power: int = 1) -> CyclotomicNumber:
         """The chosen Galois generator (restriction of zeta -> zeta^g)."""
         k = pow(self.generator, power % self.degree, self.conductor)
@@ -187,29 +182,16 @@ class PeriodField:
         p = self.degree
         rows = []
         for t in range(p):
-            row = [Fraction(0)] * p
+            row = [0] * p
             for u, c in enumerate(coords):
                 if c:
                     for k, e in enumerate(self.mult_table[t][u]):
-                        row[k] += Fraction(c) * e
+                        row[k] += c * e
             rows.append(row)
         return rows
 
     def maximal_order(self) -> "FractionalIdeal":
         return FractionalIdeal(self, linalg.identity_matrix(self.degree), 1)
-
-    def principal_ideal(self, coords, den: int = 1) -> "FractionalIdeal":
-        rows = self.multiplication_matrix(coords)
-        num = []
-        for row in rows:
-            out = []
-            for c in row:
-                c = Fraction(c)
-                if c.denominator != 1:
-                    raise ValueError("principal generator must have integer numerator coordinates")
-                out.append(int(c))
-            num.append(out)
-        return FractionalIdeal(self, num, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodField):
@@ -312,17 +294,6 @@ class FractionalIdeal:
     def to_json(self) -> dict:
         return {"den": self.den, "hnf_rows": [list(r) for r in self.num]}
 
-    # -- membership ------------------------------------------------------------
-
-    def contains_coords(self, coords, den: int = 1) -> bool:
-        """Whether (1/den) * coords (period coordinates) lies in the ideal."""
-        rhs = [Fraction(c, den) * self.den for c in coords]
-        sol = linalg.solve([list(col) for col in zip(*self.num)], rhs)
-        return all(s.denominator == 1 for s in sol)
-
-    def contains_ideal(self, other: "FractionalIdeal") -> bool:
-        return all(self.contains_coords(row, other.den) for row in other.num)
-
     # -- arithmetic ------------------------------------------------------------
 
     def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
@@ -333,15 +304,8 @@ class FractionalIdeal:
         K = self.field
         rows = []
         for a in self.num:
-            mat = K.multiplication_matrix(a)
-            for b in other.num:
-                prod = [Fraction(0)] * K.degree
-                for t, c in enumerate(b):
-                    if c:
-                        for k in range(K.degree):
-                            prod[k] += c * mat[t][k]
-                rows.append([int(x) for x in prod])
-        return FractionalIdeal(K, linalg.hnf(rows), self.den * other.den)
+            rows.extend(linalg.mat_mul(other.num, K.multiplication_matrix(a)))
+        return FractionalIdeal(K, rows, self.den * other.den)
 
     def __pow__(self, e: int) -> "FractionalIdeal":
         e = int(e)
@@ -372,10 +336,6 @@ class FractionalIdeal:
         if prod != K.maximal_order():
             raise ArithmeticError("ideal inverse verification failed")
         return out
-
-    def galois_image(self, power: int = 1) -> "FractionalIdeal":
-        rows = [list(self.field.sigma_coords(row, power)) for row in self.num]
-        return FractionalIdeal(self.field, rows, self.den)
 
 
 def dual_lattice(lattice: FractionalIdeal) -> FractionalIdeal:
@@ -424,11 +384,12 @@ def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
             if e:
                 power = mul_mod(power, power)
         frob_cols.append(acc)
-    mat = [[frob_cols[t][i] for t in range(p)] for i in range(p)]
-    kernel = linalg.kernel_mod_prime(mat, ell)
-    rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
-    rows.extend([list(v) for v in kernel])
-    ideal = FractionalIdeal(field, linalg.hnf(rows), 1)
+    # {v : mat @ v = 0 mod ell} is the projection of the integer kernel of
+    # [mat | ell * I]; it contains ell * Z^p
+    mat = [[frob_cols[t][i] for t in range(p)] + [ell * int(i == j) for j in range(p)]
+           for i in range(p)]
+    kernel = linalg.integer_kernel(mat)
+    ideal = FractionalIdeal(field, [row[:p] for row in kernel], 1)
     if ideal.norm() != ell:
         raise ArithmeticError(f"prime over {ell} has norm {ideal.norm()}, expected {ell}")
     ell_ideal = FractionalIdeal(field, [[ell * int(i == j) for j in range(p)] for i in range(p)], 1)

@@ -10,9 +10,7 @@ from gform_lab.arith import euler_phi
 
 from gform_lab.cyclotomic import (
     CyclotomicNumber,
-    GaloisAutomorphism,
     LevelBoundError,
-    apply_galois,
     compatible_root,
     cyclotomic_polynomial,
     trace_to_subfield,
@@ -87,13 +85,11 @@ def test_level_cap_rejects_malformed_value(monkeypatch, raw):
 
 
 def test_galois_action():
-    s2 = GaloisAutomorphism(7, 2)
-    assert apply_galois(s2, Z(7)) == Z(7, 2)
-    assert apply_galois(s2, Q(5, 7)) == 5
-    s3 = GaloisAutomorphism(7, 3)
-    assert apply_galois(s3, Z(7) + Z(7, 6)) == Z(7, 3) + Z(7, 4)
+    assert Z(7).galois(2) == Z(7, 2)
+    assert Q(5, 7).galois(2) == 5
+    assert (Z(7) + Z(7, 6)).galois(3) == Z(7, 3) + Z(7, 4)
     with pytest.raises(ValueError):
-        GaloisAutomorphism(9, 3)
+        Z(9).galois(3)
 
 
 def test_galois_is_ring_hom_randomized():
@@ -255,3 +251,34 @@ def test_coeffs_view_is_the_fraction_vector():
     assert x.coeffs == (Fraction(1, 2), 0, Fraction(-3, 4), 2, 0, Fraction(5, 6))
     assert all(type(c) is Fraction for c in x.coeffs)
     assert (Q(0, 7).num, Q(0, 7).den) == ((0,) * 6, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from(LEVELS), q=small_fractions.filter(bool))
+def test_division_by_a_rational_scalar(data, n, q):
+    x = data.draw(cyclo(n))
+    for scalar in (q, q.numerator):
+        got = x / scalar
+        assert got == x * CyclotomicNumber.rational(scalar).inverse()
+        assert got.level == n
+        assert_canonical(got)
+    if not x.is_zero():
+        got = q / x
+        assert got == CyclotomicNumber.rational(q) * x.inverse()
+        assert got.level == n
+        assert_canonical(got)
+
+
+def test_scalar_division_takes_no_inverse_of_the_scalar(monkeypatch):
+    x = Z(91) + 3
+    expected = CyclotomicNumber(91, [Fraction(c, 3) for c in x.coeffs])
+
+    def no_inverse(self):
+        raise AssertionError("scalar division took an inverse")
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", no_inverse)
+    assert x / 3 == expected
+    assert x / Fraction(-3, 2) == expected * -2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero

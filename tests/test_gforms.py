@@ -1,5 +1,6 @@
 import pytest
 
+from gform_lab import linalg
 from gform_lab.gforms import (
     GForm,
     IsometryResult,
@@ -8,7 +9,6 @@ from gform_lab.gforms import (
     gform_from_A,
     is_self_dual_generator,
     isometry_equivalence,
-    norm_one_vectors,
     standard_form,
     verify_inverse_law,
     verify_weak_multiplicativity,
@@ -41,7 +41,7 @@ def test_standard_form_witness_is_identity(G):
     assert w.coords == tuple(1 if i == 0 else 0 for i in range(G.order))  # the identity
     assert w.verify()
     # norm-one vectors are exactly the group elements up to sign
-    vecs = norm_one_vectors(form)
+    vecs = linalg.quadratic_solutions([list(r) for r in form.gram], 1)
     assert len(vecs) == G.order
     assert all(sum(abs(x) for x in v) == 1 for v in vecs)
 
@@ -65,7 +65,6 @@ def test_witness_element_is_self_dual_generator(k7):
 
 def test_maximal_order_form_is_rejected(k7):
     # the maximal order has Gram determinant 49: fails the unimodular gate
-    from gform_lab import linalg
     from gform_lab.groups import FiniteAbelianGroup
 
     shift = [[int(j == (i + 1) % 3) for j in range(3)] for i in range(3)]

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import hermite_normal_form
 
 from gform_lab import linalg
 
@@ -99,18 +102,22 @@ def test_det_and_inverse():
 
 def test_solve_overdetermined():
     M = [[1, 0], [0, 1], [1, 1]]
-    x = linalg.solve_overdetermined(M, [2, 3, 5])
+    x = linalg.solve(M, [2, 3, 5])
     assert x == [2, 3]
     with pytest.raises(ValueError):
-        linalg.solve_overdetermined(M, [2, 3, 6])
+        linalg.solve(M, [2, 3, 6])
 
 
 def test_kernel_mod_prime():
+    # {v : A @ v = 0 mod p} is the projection of the integer kernel of [A | p*I]
     A = [[1, 1, 0], [0, 0, 1]]
-    basis = linalg.kernel_mod_prime(A, 5)
-    assert len(basis) == 1
-    v = basis[0]
-    assert [sum(a * b for a, b in zip(row, v)) % 5 for row in A] == [0, 0]
+    kernel = linalg.integer_kernel([row + [5 * int(i == j) for j in range(2)]
+                                    for i, row in enumerate(A)])
+    lattice = linalg.hnf([row[:3] for row in kernel])
+    assert lattice == [[1, 4, 0], [0, 5, 0], [0, 0, 5]]
+    for v in itertools.product(range(5), repeat=3):
+        in_kernel = all(sum(a * b for a, b in zip(row, v)) % 5 == 0 for row in A)
+        assert in_kernel == (linalg.hnf(lattice + [list(v)]) == lattice)
 
 
 def test_quadratic_solutions_identity_form():
@@ -128,3 +135,106 @@ def test_quadratic_solutions_nontrivial():
     sols = linalg.quadratic_solutions(gram, 2)
     assert (1, 0) in sols and (0, 1) in sols and (1, -1) in sols
     assert len(sols) == 3
+
+
+# -- differential checks of the two elimination cores against sympy ---------
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _rand_matrix(rng, m, n, rank_deficient=False):
+    mat = [[_rand_fraction(rng) for _ in range(n)] for _ in range(m)]
+    if rank_deficient and m > 1:
+        # the last row is a combination of the others
+        k = _rand_fraction(rng)
+        mat[-1] = [k * x + y for x, y in zip(mat[0], mat[m - 2])]
+    return mat
+
+
+def _sympy_matrix(mat):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat])
+
+
+def _from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_hnf_matches_sympy():
+    # sympy's hermite_normal_form is the column HNF with pivots at the bottom
+    # right; reversing the columns and transposing turns it into ours
+    rng = random.Random(11)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        if not any(any(r) for r in rows):
+            assert linalg.hnf(rows) == []
+            continue
+        H = hermite_normal_form(sympy.Matrix([r[::-1] for r in rows]).T).T
+        expected = [[int(x) for x in H.row(i)][::-1] for i in range(H.rows)][::-1]
+        assert linalg.hnf(rows) == [r for r in expected if any(r)]
+
+
+def test_det_and_inverse_match_sympy():
+    rng = random.Random(12)
+    for trial in range(120):
+        n = rng.randint(1, 5)
+        M = _rand_matrix(rng, n, n, rank_deficient=trial % 3 == 0)
+        S = _sympy_matrix(M)
+        d = linalg.det(M)
+        assert d == _from_sympy(S.det())
+        if d == 0:
+            with pytest.raises(ZeroDivisionError):
+                linalg.inverse(M)
+        else:
+            inv = linalg.inverse(M)
+            assert inv == [[_from_sympy(x) for x in S.inv().row(i)] for i in range(n)]
+
+
+def test_solve_matches_sympy():
+    rng = random.Random(13)
+    kinds = {"unique": 0, "rank": 0, "inconsistent": 0}
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        m = n + rng.randint(0, 3)
+        M = _rand_matrix(rng, m, n, rank_deficient=trial % 3 == 0)
+        S = _sympy_matrix(M)
+        if trial % 2:
+            rhs = linalg.mat_vec(M, [_rand_fraction(rng) for _ in range(n)])
+        else:
+            rhs = [_rand_fraction(rng) for _ in range(m)]
+        if S.rank() < n:
+            kinds["rank"] += 1
+            with pytest.raises(ValueError):
+                linalg.solve(M, rhs)
+        elif S.row_join(_sympy_matrix([[b] for b in rhs])).rank() > n:
+            kinds["inconsistent"] += 1
+            with pytest.raises(ValueError):
+                linalg.solve(M, rhs)
+        else:
+            kinds["unique"] += 1
+            x = linalg.solve(M, rhs)
+            assert linalg.mat_vec(M, x) == rhs
+            sol, _params = S.gauss_jordan_solve(_sympy_matrix([[b] for b in rhs]))
+            assert x == [_from_sympy(v) for v in sol]
+    assert all(kinds.values()), kinds
+
+
+def test_independent_rows_are_the_greedy_first_basis():
+    rng = random.Random(14)
+    for trial in range(80):
+        m, n = rng.randint(1, 6), rng.randint(1, 4)
+        M = _rand_matrix(rng, m, n, rank_deficient=trial % 2 == 0)
+        if trial % 5 == 0:
+            M[0] = [Fraction(0)] * n
+        expected, rank = [], 0
+        for i in range(m):
+            if _sympy_matrix([M[j] for j in expected + [i]]).rank() > rank:
+                expected.append(i)
+                rank += 1
+        assert linalg.independent_rows(M) == expected
+        if len(expected) == n:
+            assert linalg.det([M[i] for i in expected]) != 0

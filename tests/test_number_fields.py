@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -167,9 +168,9 @@ def test_ideal_arithmetic_basics(k7):
     assert (L**3).norm() == 343
     seven = FractionalIdeal(k7, [[7 if i == j else 0 for j in range(3)] for i in range(3)], 1)
     assert L**3 == seven
-    assert O.contains_ideal(L)
-    assert not L.contains_ideal(O)
-    assert L.galois_image() == L  # totally ramified primes are Galois stable
+    assert L.is_integral() and L != O  # a proper ideal of the maximal order
+    # totally ramified primes are Galois stable
+    assert FractionalIdeal(k7, [k7.sigma_coords(row) for row in L.num], L.den) == L
 
 
 def test_composite_field(k7, k13, k91):
@@ -205,3 +206,31 @@ def test_hom_to_g(k7):
     with pytest.raises(ValueError):
         HomToG(k7, FiniteAbelianGroup((9,)), FiniteAbelianGroup((9,)).element((1,)))
     assert h.product_weights(hinv) == (1, 2)
+
+
+@pytest.mark.parametrize("f", [7, 13])
+def test_prime_above_is_the_frobenius_kernel_mod_ell(f):
+    # brute force: the prime over ell is {v : Frob(v) = 0 mod ell} + ell Z^p,
+    # where Frob(v) = sum v_t eta_t^ell is linear mod ell
+    K = build_field(3, f)
+    ell, p = f, K.degree
+    frob = [[int(c) % ell for c in K.coordinates(eta**ell)] for eta in K.periods]
+    kernel = [
+        list(v)
+        for v in itertools.product(range(ell), repeat=p)
+        if all(sum(v[t] * frob[t][k] for t in range(p)) % ell == 0 for k in range(p))
+    ]
+    assert len(kernel) == ell ** (p - 1)
+    ell_rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
+    assert prime_above(K, ell) == FractionalIdeal(K, kernel + ell_rows, 1)
+
+
+def test_degree_seven_square_root_of_the_inverse_different():
+    # degree 7 meets the largest preimage lattices of the ideal arithmetic
+    K = build_field(7, 29)
+    A = sqrt_inverse_different(K)  # verifies A * A == different(K).inverse()
+    assert A.den == 29
+    assert dual_lattice(A) == A
+    from gform_lab import linalg
+
+    assert linalg.det(trace_gram(K, A.basis_elements())) == 1

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from gform_lab.cyclotomic import CyclotomicNumber
-from gform_lab.group_ring import GroupRingElement, NotInvertible
+from gform_lab.group_ring import (
+    GroupRingElement,
+    NotInvertible,
+    invert_by_linear_solve,
+    try_invert,
+)
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import HomToG, build_field
 from gform_lab.resolvends import (
@@ -242,3 +247,20 @@ def test_resolvent_norms_divisibility(k7, h7):
             while n % 7 == 0:
                 n //= 7
             assert abs(n) == 1, "resolvent norm has a prime outside the ramified set"
+
+
+def test_linear_solve_inverts_a_cyclotomic_resolvend():
+    # the regular-representation solve on coefficients at level 13 agrees with
+    # the character-transform inverse
+    K = build_field(3, 13)
+    hom = HomToG.standard(K)
+    for coords in ([1, 0, 0], [2, -1, 3]):
+        r = resolvend(AlgebraElement(hom, K.element(coords)))
+        assert any(isinstance(c, CyclotomicNumber) and not c.is_rational()
+                   for c in r.coeffs.values())
+        inv = invert_by_linear_solve(r)
+        assert inv == try_invert(r)
+        assert inv * r == GroupRingElement.one(r.group)
+    singular = resolvend(AlgebraElement(hom, K.element([1, 1, 1])))
+    with pytest.raises(NotInvertible):
+        invert_by_linear_solve(singular)
