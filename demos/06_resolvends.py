@@ -35,7 +35,7 @@ print("\nr(a) r(a)^[-1] =", lhs, " (the Gram row 5, -2, -2)")
 print("pairing identity holds:", resolvend_pairing_identity(a, a))
 
 # eta_0 is not self-dual (Tr eta_0^2 = 5), and both routes agree on that
-print("eta_0 self-dual:", is_self_dual(a, method="both"))
+print("eta_0 self-dual:", is_self_dual(a))
 
 # reduction forgets right multiplication by group elements
 shifted = AlgebraElement(h, a.value_at(G.element((1,))))

@@ -2,7 +2,10 @@
 composite product reports, property suites, and the conductor sieve.
 
 Every command can emit a deterministic JSON document (--json to stdout,
---out FILE to write it); propcheck exits nonzero when any check fails.
+--out FILE to write it). Exit codes: 0 success; 1 a check failed or no
+witness was found; 2 rejected input (also argparse's code); 3 a cyclotomic
+level above GFORM_LAB_MAX_LEVEL. Library errors are reported as one line on
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ from . import gforms, linalg
 from . import resolvends as rsv
 from . import stickelberger as stk
 from .arith import unit_group_generators
-from .cyclotomic import LevelBoundError
-from .groups import FiniteAbelianGroup
-from .number_fields import build_field, compose_fields, different, sqrt_inverse_different
+from .cyclotomic import LevelBoundError, max_level
+from .groups import EnumerationBoundError, FiniteAbelianGroup, GroupSpecError
+from .number_fields import (
+    FieldConstructionError,
+    build_field,
+    different,
+    dual_lattice,
+    sqrt_inverse_different,
+    trace_gram,
+)
 from .suites import SUITES, SuiteConfig, run_suite, sieve_conductors
 
 
@@ -37,11 +47,7 @@ def _frac(x: Fraction) -> str:
 
 
 def cmd_stickelberger(args) -> int:
-    if args.verb != "table":
-        raise SystemExit(f"unknown stickelberger verb {args.verb!r}")
     G = FiniteAbelianGroup.from_spec(args.group)
-    if G.order % 2 == 0:
-        raise SystemExit("the pairing needs a group of odd order")
     pairs = []
     for chi in G.characters():
         for s in G.elements():
@@ -81,13 +87,9 @@ def cmd_stickelberger(args) -> int:
 
 
 def cmd_field(args) -> int:
-    if args.verb != "analyze":
-        raise SystemExit(f"unknown field verb {args.verb!r}")
     K = build_field(args.degree, args.conductor)
     d = different(K)
     A = sqrt_inverse_different(K)
-    from .number_fields import dual_lattice, trace_gram
-
     doc = {
         "degree": K.degree,
         "conductor": K.conductor,
@@ -113,16 +115,13 @@ def cmd_field(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
-    if args.verb != "search":
-        raise SystemExit(f"unknown selfdual verb {args.verb!r}")
     K = build_field(args.degree, args.conductor)
-    form = gforms.gform_from_A(K)
-    w = gforms.find_self_dual_generator(form)
-    if w is None:
+    try:
+        w, a = gforms.self_dual_generator(K)
+    except gforms.WitnessNotFound:
         doc = {"degree": args.degree, "conductor": args.conductor, "witness_coords": None}
         _emit(doc, args)
         return 1
-    a = gforms.witness_element(form, w)
     r = rsv.resolvend(a)
     factorization = (
         rsv.stickelberger_factorization_check(a)
@@ -159,37 +158,20 @@ def cmd_selfdual(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    try:
-        f1, f2 = (int(x) for x in args.conductors.split(","))
-    except ValueError:
-        raise SystemExit("--conductors expects two comma-separated integers")
-    K1 = build_field(args.degree, f1)
-    K2 = build_field(args.degree, f2)
-    form1 = gforms.gform_from_A(K1)
-    form2 = gforms.gform_from_A(K2)
-    w1 = gforms.find_self_dual_generator(form1)
-    w2 = gforms.find_self_dual_generator(form2)
-    if w1 is None or w2 is None:
-        raise SystemExit("missing self-dual witness on a factor field")
-    a1 = gforms.witness_element(form1, w1)
-    a2 = gforms.witness_element(form2, w2)
-    composite = compose_fields(K1, K2)
-    a = rsv.product_resolvend(a1, a2, composite)
-    A12 = sqrt_inverse_different(composite)
-    self_dual = rsv.is_self_dual(a)
-    generates = gforms.is_self_dual_generator(a, A12)
+    f1, f2 = args.conductors
+    law = gforms.product_law(build_field(args.degree, f1), build_field(args.degree, f2))
     doc = {
         "degree": args.degree,
         "conductors": [f1, f2],
-        "composite_conductor": composite.conductor,
-        "factor_witnesses": [list(w1.coords), list(w2.coords)],
-        "product_alpha": a.alpha.to_json(),
-        "self_dual": self_dual,
-        "generates_A": generates,
-        "status": "pass" if (self_dual and generates) else "fail",
+        "composite_conductor": law.composite.conductor,
+        "factor_witnesses": [list(w.coords) for w in law.witnesses],
+        "product_alpha": law.element.alpha.to_json(),
+        "self_dual": law.self_dual,
+        "generates_A": law.holds,
+        "status": "pass" if law.holds else "fail",
     }
     _emit(doc, args)
-    return 0 if self_dual and generates else 1
+    return 0 if law.holds else 1
 
 
 def cmd_propcheck(args) -> int:
@@ -219,6 +201,14 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+def _conductor_pair(text: str) -> tuple[int, int]:
+    try:
+        f1, f2 = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects two comma-separated integers") from None
+    return f1, f2
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gform-lab",
@@ -227,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stickelberger", help="pairing table and kernel basis for a group")
-    p.add_argument("verb", nargs="?", default="table")
+    p.add_argument("verb", nargs="?", default="table", choices=["table"])
     p.add_argument("--group", required=True, help='invariant factors, e.g. "3,9"')
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -235,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stickelberger)
 
     p = sub.add_parser("field", help="period-field report for one conductor")
-    p.add_argument("verb", nargs="?", default="analyze")
+    p.add_argument("verb", nargs="?", default="analyze", choices=["analyze"])
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--conductor", type=int, required=True)
     p.add_argument("--json", action="store_true")
@@ -243,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("selfdual", help="search a self-dual generator of (A, trace)")
-    p.add_argument("verb", nargs="?", default="search")
+    p.add_argument("verb", nargs="?", default="search", choices=["search"])
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--conductor", type=int, required=True)
     p.add_argument("--json", action="store_true")
@@ -252,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="product-law report for two coprime conductors")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--conductors", required=True, help='e.g. "7,13"')
+    p.add_argument("--conductors", required=True, type=_conductor_pair, help='e.g. "7,13"')
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_compose)
@@ -276,9 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    print(f"gform-lab: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        max_level()
+    except ValueError as exc:  # a malformed GFORM_LAB_MAX_LEVEL
+        return _error(exc, 2)
+    try:
+        return args.fn(args)
+    except (FieldConstructionError, GroupSpecError, EnumerationBoundError) as exc:
+        return _error(exc, 2)
+    except LevelBoundError as exc:
+        return _error(exc, 3)
+    except gforms.WitnessNotFound as exc:
+        return _error(exc, 1)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,16 @@ the inverse and product laws for trace forms on square roots of inverse
 differents.
 
 A form is a lattice in coordinates (rows), an exact Gram matrix, and the
-right-action matrices of the group on coordinates. Witnesses found by the
-enumeration are always re-verified from scratch: full delta-orthonormality of
-the group orbit plus two-sided lattice equality, never trust in the search
-path.
+right-action matrices of the group on coordinates. One test decides whether
+coordinates v give a self-dual generator: `IsometryWitness.verify` re-derives
+the orbit v.s from v alone, checks the |G| pairings <v.s, v> = delta(s) and
+requires a unit orbit determinant. `GForm` proves on construction that the
+form is invariant and that the action matrices compose, and a unit orbit
+determinant makes the orbit a basis, so the action of the identity is the
+identity and <v.s, v.t> = <v.(s t^-1), v>: the |G| pairings give
+delta-orthonormality of the whole orbit, and the orbit spans the lattice.
+The field-side routes (`resolvends.is_self_dual` and the HNF span test of
+`is_self_dual_generator`) re-verify every witness element independently.
 """
 
 from __future__ import annotations
@@ -192,19 +198,23 @@ class IsometryWitness:
     coords: tuple[int, ...]
     orbit_matrix: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def of(cls, form: GForm, coords) -> "IsometryWitness":
+        """The candidate at coords, with its orbit taken from the form."""
+        orbit = tuple(tuple(int(x) for x in form.act(coords, s)) for s in form.group.elements())
+        return cls(form, tuple(int(x) for x in coords), orbit)
+
     def verify(self) -> bool:
-        """Re-derive delta-orthonormality and two-sided lattice equality from
-        the coordinates alone."""
-        form = self.form
-        orbit = [form.act(self.coords, s) for s in form.group.elements()]
-        if tuple(tuple(int(x) for x in row) for row in orbit) != self.orbit_matrix:
+        """Re-derive the orbit from the coordinates, compare it with
+        orbit_matrix, check <v.s, v> = delta(s) for each s in G and require a
+        unit orbit determinant; the module docstring says why these |G|
+        pairings give the delta-orthonormality of the whole orbit."""
+        if IsometryWitness.of(self.form, self.coords).orbit_matrix != self.orbit_matrix:
             return False
-        for i, v in enumerate(orbit):
-            for j, w in enumerate(orbit):
-                if form.pair(v, w) != (1 if i == j else 0):
-                    return False
-        d = linalg.det([list(r) for r in self.orbit_matrix])
-        return abs(d) == 1
+        for s, row in zip(self.form.group.elements(), self.orbit_matrix):
+            if self.form.pair(row, self.coords) != (1 if s.is_identity else 0):
+                return False
+        return abs(linalg.det([list(r) for r in self.orbit_matrix])) == 1
 
     def to_json(self) -> dict:
         return {
@@ -217,8 +227,7 @@ def find_self_dual_generator(form: GForm) -> IsometryWitness | None:
     """Enumerate the finitely many lattice vectors of norm 1 (exact
     enumeration over the Gram matrix, canonical descending order, one vector
     per +/- pair since both signs behave identically) and return the first
-    whose group orbit is delta-orthonormal and spans the lattice; None when
-    the candidate set is exhausted."""
+    whose witness verifies; None when the candidate set is exhausted."""
     if form.rank != form.group.order:
         raise ValueError("form rank differs from the group order")
     if abs(form.determinant()) != 1:
@@ -226,25 +235,9 @@ def find_self_dual_generator(form: GForm) -> IsometryWitness | None:
     if not form.is_positive_definite():
         raise ValueError("form is not positive definite")
     for v in linalg.quadratic_solutions([list(r) for r in form.gram], 1):
-        orbit = [form.act(v, s) for s in form.group.elements()]
-        ok = True
-        for i, a in enumerate(orbit):
-            for j, b in enumerate(orbit):
-                if form.pair(a, b) != (1 if i == j else 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if abs(linalg.det([list(r) for r in orbit])) != 1:
-            continue
-        witness = IsometryWitness(
-            form, tuple(int(x) for x in v), tuple(tuple(int(x) for x in row) for row in orbit)
-        )
-        if not witness.verify():
-            raise AssertionError("witness failed its own re-verification")
-        return witness
+        witness = IsometryWitness.of(form, v)
+        if witness.verify():
+            return witness
     return None
 
 
@@ -261,22 +254,27 @@ def witness_element(form: GForm, witness: IsometryWitness) -> AlgebraElement:
     return AlgebraElement(form.hom, alpha)
 
 
-def is_self_dual_generator(a: AlgebraElement, lattice: FractionalIdeal) -> bool:
-    """Whether a is self-dual for the trace form and its group orbit spans the
-    given fractional ideal (two-sided HNF equality)."""
+def self_dual_generator(
+    field: PeriodField, hom: HomToG | None = None
+) -> tuple[IsometryWitness, AlgebraElement]:
+    """The first self-dual generator of (A, trace) for the identification hom
+    (the standard one by default): its witness on the A-form and its element
+    of the Galois algebra. Raises WitnessNotFound when the search is
+    exhausted."""
+    form = gform_from_A(field, hom)
+    witness = find_self_dual_generator(form)
+    if witness is None:
+        raise WitnessNotFound(f"no self-dual generator for conductor {field.conductor}")
+    return witness, witness_element(form, witness)
+
+
+def _orbit_spans(a: AlgebraElement, lattice: FractionalIdeal) -> bool:
+    """Whether the group orbit of a spans the fractional ideal (two-sided HNF
+    equality)."""
     K = a.hom.field
-    if not is_self_dual(a, method="both"):
-        return False
-    rows = []
-    dens = 1
-    coords_list = []
-    for s in a.group.elements():
-        coords = K.coordinates(a.value_at(s))
-        coords_list.append(coords)
-        for c in coords:
-            dens = lcm(dens, c.denominator)
-    for coords in coords_list:
-        rows.append([int(c * dens) for c in coords])
+    coords_list = [K.coordinates(a.value_at(s)) for s in a.group.elements()]
+    dens = lcm(*(c.denominator for coords in coords_list for c in coords))
+    rows = [[int(c * dens) for c in coords] for coords in coords_list]
     try:
         span = FractionalIdeal(K, rows, dens)
     except ValueError:
@@ -284,21 +282,55 @@ def is_self_dual_generator(a: AlgebraElement, lattice: FractionalIdeal) -> bool:
     return span == lattice
 
 
+def is_self_dual_generator(a: AlgebraElement, lattice: FractionalIdeal) -> bool:
+    """Whether a is self-dual for the trace form and its group orbit spans the
+    given fractional ideal (two-sided HNF equality)."""
+    return is_self_dual(a) and _orbit_spans(a, lattice)
+
+
 def verify_inverse_law(field: PeriodField, hom: HomToG | None = None) -> bool:
     """Instance check that inverting the resolvend of a self-dual generator
     of A yields a self-dual generator of A for the inverse identification."""
-    if hom is None:
-        hom = HomToG.standard(field)
-    form = gform_from_A(field, hom)
-    witness = find_self_dual_generator(form)
-    if witness is None:
-        raise WitnessNotFound(f"no self-dual generator for conductor {field.conductor}")
-    a = witness_element(form, witness)
+    _, a = self_dual_generator(field, hom)
     A = sqrt_inverse_different(field)
     if not is_self_dual_generator(a, A):
         raise AssertionError("witness element failed independent re-verification")
-    a_inv = inverse_resolvend(a)
-    return is_self_dual_generator(a_inv, A)
+    return is_self_dual_generator(inverse_resolvend(a), A)
+
+
+@dataclass(frozen=True)
+class ProductLaw:
+    """One product-law instance: the factor witnesses, the composite-cut
+    field, the element whose resolvend is the product of the factors', and
+    the verdict `holds` (it is a self-dual generator of A for the composite)."""
+
+    witnesses: tuple[IsometryWitness, IsometryWitness]
+    composite: PeriodField
+    element: AlgebraElement
+    self_dual: bool
+    holds: bool
+
+
+def product_law(
+    field1: PeriodField,
+    field2: PeriodField,
+    hom1: HomToG | None = None,
+    hom2: HomToG | None = None,
+) -> ProductLaw:
+    """Multiply the resolvends of self-dual generators of A for two fields
+    with disjoint ramification and test the product on A of the
+    composite-cut field."""
+    if hom1 is None:
+        hom1 = HomToG.standard(field1)
+    if hom2 is None:
+        hom2 = HomToG.standard(field2, hom1.group)
+    composite = compose_fields(field1, field2, weights=hom1.product_weights(hom2))
+    w1, a1 = self_dual_generator(field1, hom1)
+    w2, a2 = self_dual_generator(field2, hom2)
+    a = product_resolvend(a1, a2, composite)
+    self_dual = is_self_dual(a)
+    holds = self_dual and _orbit_spans(a, sqrt_inverse_different(composite))
+    return ProductLaw((w1, w2), composite, a, self_dual, holds)
 
 
 def verify_weak_multiplicativity(
@@ -310,22 +342,7 @@ def verify_weak_multiplicativity(
     """Instance check that the product of resolvends of self-dual generators
     of A for two fields with disjoint ramification is a self-dual generator
     of A for the composite-cut field."""
-    if hom1 is None:
-        hom1 = HomToG.standard(field1)
-    if hom2 is None:
-        hom2 = HomToG.standard(field2, hom1.group)
-    form1 = gform_from_A(field1, hom1)
-    form2 = gform_from_A(field2, hom2)
-    w1 = find_self_dual_generator(form1)
-    w2 = find_self_dual_generator(form2)
-    if w1 is None or w2 is None:
-        raise WitnessNotFound("missing witness on a factor field")
-    a1 = witness_element(form1, w1)
-    a2 = witness_element(form2, w2)
-    composite = compose_fields(field1, field2, weights=hom1.product_weights(hom2))
-    a = product_resolvend(a1, a2, composite)
-    A12 = sqrt_inverse_different(composite)
-    return is_self_dual_generator(a, A12)
+    return product_law(field1, field2, hom1, hom2).holds
 
 
 class IsometryResult(enum.Enum):

@@ -167,15 +167,6 @@ class PeriodField:
         x = x.raise_level(self.conductor)
         return x.trace_to_rational() * Fraction(self.degree, euler_phi(self.conductor))
 
-    def trace_pair_coords(self, v, w) -> Fraction:
-        acc = Fraction(0)
-        for i, a in enumerate(v):
-            if a:
-                for j, b in enumerate(w):
-                    if b:
-                        acc += Fraction(a) * Fraction(b) * self.gram[i][j]
-        return acc
-
     def multiplication_matrix(self, coords):
         """Row t is the coordinate vector of eta_t * x for x with the given
         integer coordinates."""

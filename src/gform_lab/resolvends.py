@@ -83,13 +83,6 @@ class AlgebraElement:
         if self.is_split or other.is_split or self.hom != other.hom:
             raise ValueError("elements live in different algebras")
 
-    def trace_pair(self, other: "AlgebraElement") -> Fraction:
-        """Trace form of the algebra: sum_t a(t) b(t)."""
-        self._same_algebra(other)
-        if self.is_split:
-            return self.alpha * other.alpha
-        return self.hom.field.trace(self.alpha * other.alpha)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -134,47 +127,45 @@ def is_normal_basis_generator(a: AlgebraElement) -> bool:
     return _invertible(resolvend(a))
 
 
+def _trace_table(a: AlgebraElement, b: AlgebraElement) -> GroupRingElement:
+    """sum_s Tr((s.a) b) s^{-1}; the split algebra is supported at the
+    identity, where its trace is the value itself."""
+    a._same_algebra(b)
+    trace = Fraction if a.is_split else a.hom.field.trace
+    return GroupRingElement(
+        a.group, {s.inverse(): trace(a.value_at(s) * b.alpha) for s in a.group.elements()}
+    )
+
+
 def resolvend_pairing_identity(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Exact check of r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1}."""
     a._same_algebra(b)
     lhs = resolvend(a) * resolvend(b).involute()
-    G = a.group
-    rhs_coeffs = {}
-    for s in G.elements():
-        if a.is_split:
-            tr = a.alpha * b.alpha if s.is_identity else Fraction(0)
-        else:
-            tr = a.hom.field.trace(a.value_at(s) * b.alpha)
-        rhs_coeffs[s.inverse()] = tr
-    rhs = GroupRingElement(G, rhs_coeffs)
-    return lhs.demoted() == rhs
+    return lhs.demoted() == _trace_table(a, b)
 
 
-def is_self_dual(a: AlgebraElement, method: str = "both") -> bool:
-    """Self-duality of a for the trace form, decided by the Gram route
-    (Tr((s.a) a) = delta) or the resolvend route (r r^[-1] = 1); with
-    method="both" the two independent computations must agree."""
-    if method not in ("gram", "resolvend", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    got = {}
-    if method in ("gram", "both"):
-        ok = True
-        for s in a.group.elements():
-            want = Fraction(1) if s.is_identity else Fraction(0)
-            if a.is_split:
-                tr = a.alpha * a.alpha if s.is_identity else Fraction(0)
-            else:
-                tr = a.hom.field.trace(a.value_at(s) * a.alpha)
-            if tr != want:
-                ok = False
-                break
-        got["gram"] = ok
-    if method in ("resolvend", "both"):
-        r = resolvend(a)
-        got["resolvend"] = r * r.involute() == GroupRingElement.one(a.group)
-    if method == "both" and got["gram"] != got["resolvend"]:
+def is_self_dual(a: AlgebraElement) -> bool:
+    """Self-duality of a for the trace form, decided by two independent
+    routes that must agree: the Gram route compares the trace table
+    sum_s Tr((s.a) a) s^{-1} with 1, that is Tr((s.a) a) = delta(s), and the
+    resolvend route checks r(a) r(a)^[-1] = 1 in the group ring. Raises
+    AssertionError when they disagree."""
+    one = GroupRingElement.one(a.group)
+    by_gram = _trace_table(a, a) == one
+    r = resolvend(a)
+    by_resolvend = r * r.involute() == one
+    if by_gram != by_resolvend:
         raise AssertionError("gram and resolvend self-duality routes disagree")
-    return got.popitem()[1]
+    return by_gram
+
+
+def _with_resolvend(hom: HomToG, r: GroupRingElement) -> AlgebraElement:
+    """The element of hom's algebra whose resolvend is r: its value at the
+    identity, verified by recomputing the resolvend exactly."""
+    out = AlgebraElement(hom, r.coefficient(hom.group.identity()))
+    if resolvend(out) != r:
+        raise ArithmeticError("resolvend does not define an algebra element")
+    return out
 
 
 def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
@@ -182,15 +173,8 @@ def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
     inverse of the resolvend of a; verified by an exact product."""
     if a.is_split:
         return a
-    r = resolvend(a)
-    r_inv = invert_by_linear_solve(r)  # stays at the field level
-    beta = r_inv.coefficient(a.group.identity())
-    if not isinstance(beta, CyclotomicNumber):
-        beta = CyclotomicNumber.rational(beta, 1)
-    out = AlgebraElement(a.hom.inverse_hom(), beta)
-    if resolvend(out) != r_inv:
-        raise ArithmeticError("inverse resolvend does not define an algebra element")
-    return out
+    r_inv = invert_by_linear_solve(resolvend(a))  # stays at the field level
+    return _with_resolvend(a.hom.inverse_hom(), r_inv)
 
 
 def product_resolvend(a1: AlgebraElement, a2: AlgebraElement, composite=None) -> AlgebraElement:
@@ -202,20 +186,11 @@ def product_resolvend(a1: AlgebraElement, a2: AlgebraElement, composite=None) ->
         return a2
     if a2.is_split:
         return a1
-    K1 = a1.hom.field
-    K2 = a2.hom.field
-    weights = a1.hom.product_weights(a2.hom)
     if composite is None:
-        composite = compose_fields(K1, K2, weights=weights)
-    r = resolvend(a1) * resolvend(a2)
-    beta = r.coefficient(a1.group.identity())
-    if not isinstance(beta, CyclotomicNumber):
-        beta = CyclotomicNumber.rational(beta, 1)
+        weights = a1.hom.product_weights(a2.hom)
+        composite = compose_fields(a1.hom.field, a2.hom.field, weights=weights)
     h12 = HomToG(composite, a1.group, a1.group.element((1,)))
-    out = AlgebraElement(h12, beta)
-    if resolvend(out) != r:
-        raise ArithmeticError("product resolvend does not define a composite algebra element")
-    return out
+    return _with_resolvend(h12, resolvend(a1) * resolvend(a2))
 
 
 def homomorphism_property_check(a: AlgebraElement) -> bool:

@@ -22,13 +22,14 @@ from .groups import (
     Character,
     FiniteAbelianGroup,
     GroupElement,
+    GroupSpecError,
     galois_twist,
 )
 
 
 def _require_odd(group: FiniteAbelianGroup) -> None:
     if group.order % 2 == 0:
-        raise ValueError(f"{group} has even order; the centered pairing needs odd order")
+        raise GroupSpecError(f"{group} has even order; the centered pairing needs odd order")
 
 
 def upsilon(chi: Character, s: GroupElement) -> int:

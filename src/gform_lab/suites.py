@@ -126,7 +126,7 @@ def sieve_conductors(degree: int, bound: int) -> list[int]:
 # acceptance checks
 
 
-def check_stickelberger_integrality(config: SuiteConfig) -> CheckResult:
+def check_stickelberger_integrality(config: SuiteConfig) -> tuple[str, dict]:
     rng = config.rng("C1")
     details = {}
     status = "pass"
@@ -145,10 +145,10 @@ def check_stickelberger_integrality(config: SuiteConfig) -> CheckResult:
             "random_total": rcount,
             "random_kernel_hits": rhits,
         }
-    return CheckResult("C1", "stickelberger_integrality_iff_kernel", status, details)
+    return status, details
 
 
-def check_equivariance(config: SuiteConfig) -> CheckResult:
+def check_equivariance(config: SuiteConfig) -> tuple[str, dict]:
     details = {}
     status = "pass"
     for facs in [(7,), (9,)]:
@@ -158,10 +158,10 @@ def check_equivariance(config: SuiteConfig) -> CheckResult:
         details[str(G)] = {"generators": list(gens), "ok": ok}
         if not ok:
             status = "fail"
-    return CheckResult("C2", "stickelberger_twist_equivariance", status, details)
+    return status, details
 
 
-def check_image_selfdual(config: SuiteConfig) -> CheckResult:
+def check_image_selfdual(config: SuiteConfig) -> tuple[str, dict]:
     rng = config.rng("C3")
     details = {}
     status = "pass"
@@ -175,10 +175,10 @@ def check_image_selfdual(config: SuiteConfig) -> CheckResult:
         details[str(G)] = {"maps": 100, "failures": bad}
         if bad:
             status = "fail"
-    return CheckResult("C3", "transpose_image_is_self_dual", status, details)
+    return status, details
 
 
-def check_resolvend_pairing(config: SuiteConfig) -> CheckResult:
+def check_resolvend_pairing(config: SuiteConfig) -> tuple[str, dict]:
     rng = config.rng("C4")
     details = {}
     status = "pass"
@@ -194,10 +194,10 @@ def check_resolvend_pairing(config: SuiteConfig) -> CheckResult:
         details[f"conductor_{f}"] = {"pairs": 100, "failures": bad}
         if bad:
             status = "fail"
-    return CheckResult("C4", "resolvend_pairing_identity", status, details)
+    return status, details
 
 
-def check_sqrt_inverse_different(config: SuiteConfig) -> CheckResult:
+def check_sqrt_inverse_different(config: SuiteConfig) -> tuple[str, dict]:
     details = {}
     status = "pass"
     targets = [(3, f) for f in sieve_conductors(3, config.conductor_bound)] + [(5, 11)]
@@ -231,30 +231,29 @@ def check_sqrt_inverse_different(config: SuiteConfig) -> CheckResult:
             entry = {"error": f"{type(exc).__name__}: {exc}"}
             status = "fail"
         details[f"deg{p}_cond{f}"] = entry
-    return CheckResult("C5", "sqrt_inverse_different_construction", status, details)
+    return status, details
 
 
-def check_selfdual_witnesses(config: SuiteConfig) -> CheckResult:
+def check_selfdual_witnesses(config: SuiteConfig) -> tuple[str, dict]:
     details = {}
     status = "pass"
     targets = [(3, f) for f in WITNESS_CONDUCTORS_DEG3] + [(5, 11)]
     for p, f in targets:
         K = build_field(p, f)
-        form = gforms.gform_from_A(K)
-        w = gforms.find_self_dual_generator(form)
-        if w is None:
+        try:
+            w, a = gforms.self_dual_generator(K)
+        except gforms.WitnessNotFound:
             status = "fail"
             details[f"deg{p}_cond{f}"] = {"found": False}
             continue
-        a = gforms.witness_element(form, w)
-        reverified = w.verify() and gforms.is_self_dual_generator(a, sqrt_inverse_different(K))
+        reverified = gforms.is_self_dual_generator(a, sqrt_inverse_different(K))
         details[f"deg{p}_cond{f}"] = {"found": True, "reverified": reverified, **w.to_json()}
         if not reverified:
             status = "fail"
-    return CheckResult("C6", "self_dual_generator_witnesses", status, details)
+    return status, details
 
 
-def check_inverse_law(config: SuiteConfig) -> CheckResult:
+def check_inverse_law(config: SuiteConfig) -> tuple[str, dict]:
     details = {}
     status = "pass"
     for f in (7, 13):
@@ -263,34 +262,27 @@ def check_inverse_law(config: SuiteConfig) -> CheckResult:
         details[f"conductor_{f}"] = {"ok": ok}
         if not ok:
             status = "fail"
-    return CheckResult("C7", "inverse_law_instances", status, details)
+    return status, details
 
 
-def check_weak_multiplicativity(config: SuiteConfig) -> CheckResult:
+def check_weak_multiplicativity(config: SuiteConfig) -> tuple[str, dict]:
     K7 = build_field(3, 7)
     K13 = build_field(3, 13)
     ok = gforms.verify_weak_multiplicativity(K7, K13)
-    status = "pass" if ok else "fail"
-    return CheckResult(
-        "C8",
-        "product_law_conductor_91",
-        status,
-        {"conductors": [7, 13], "composite": 91, "ok": ok},
-    )
+    return ("pass" if ok else "fail"), {"conductors": [7, 13], "composite": 91, "ok": ok}
 
 
-def check_factorization(config: SuiteConfig) -> CheckResult:
+def check_factorization(config: SuiteConfig) -> tuple[str, dict]:
     details = {}
     status = "pass"
     for f in (7, 13):
         K = build_field(3, f)
-        form = gforms.gform_from_A(K)
-        w = gforms.find_self_dual_generator(form)
-        if w is None:
+        try:
+            _, a = gforms.self_dual_generator(K)
+        except gforms.WitnessNotFound:
             status = "fail"
             details[f"conductor_{f}"] = {"witness_found": False}
             continue
-        a = gforms.witness_element(form, w)
         result = rsv.stickelberger_factorization_check(a)
         details[f"conductor_{f}"] = {
             "passed": result.passed,
@@ -298,10 +290,10 @@ def check_factorization(config: SuiteConfig) -> CheckResult:
         }
         if not result.passed:
             status = "fail"
-    return CheckResult("C9", "resolvent_ratio_factorization", status, details)
+    return status, details
 
 
-def check_inversion_oracle(config: SuiteConfig) -> CheckResult:
+def check_inversion_oracle(config: SuiteConfig) -> tuple[str, dict]:
     rng = config.rng("C10")
     details = {}
     status = "pass"
@@ -326,20 +318,21 @@ def check_inversion_oracle(config: SuiteConfig) -> CheckResult:
         details[str(G)] = {"tested": done, "attempts": attempts, "mismatches": mismatches}
         if mismatches:
             status = "fail"
-    return CheckResult("C10", "fourier_vs_regular_representation_inversion", status, details)
+    return status, details
 
 
+# check id -> (report name, check function)
 CHECKS = {
-    "C1": check_stickelberger_integrality,
-    "C2": check_equivariance,
-    "C3": check_image_selfdual,
-    "C4": check_resolvend_pairing,
-    "C5": check_sqrt_inverse_different,
-    "C6": check_selfdual_witnesses,
-    "C7": check_inverse_law,
-    "C8": check_weak_multiplicativity,
-    "C9": check_factorization,
-    "C10": check_inversion_oracle,
+    "C1": ("stickelberger_integrality_iff_kernel", check_stickelberger_integrality),
+    "C2": ("stickelberger_twist_equivariance", check_equivariance),
+    "C3": ("transpose_image_is_self_dual", check_image_selfdual),
+    "C4": ("resolvend_pairing_identity", check_resolvend_pairing),
+    "C5": ("sqrt_inverse_different_construction", check_sqrt_inverse_different),
+    "C6": ("self_dual_generator_witnesses", check_selfdual_witnesses),
+    "C7": ("inverse_law_instances", check_inverse_law),
+    "C8": ("product_law_conductor_91", check_weak_multiplicativity),
+    "C9": ("resolvent_ratio_factorization", check_factorization),
+    "C10": ("fourier_vs_regular_representation_inversion", check_inversion_oracle),
 }
 
 SUITES = {
@@ -354,11 +347,15 @@ SUITES = {
 
 
 def run_check(check_id: str, config: SuiteConfig) -> CheckResult:
-    fn = CHECKS[check_id]
+    """Run one check; a check that raises yields status "error" with the
+    exception's type and message, never the end of the suite."""
+    name, fn = CHECKS[check_id]
     t0 = time.perf_counter()
-    result = fn(config)
-    result.elapsed = time.perf_counter() - t0
-    return result
+    try:
+        status, details = fn(config)
+    except Exception as exc:
+        status, details = "error", {"error": f"{type(exc).__name__}: {exc}"}
+    return CheckResult(check_id, name, status, details, time.perf_counter() - t0)
 
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> Report:

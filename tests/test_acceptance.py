@@ -1,14 +1,16 @@
 """Acceptance gate: one test per criterion, exact (zero-tolerance) checks,
-each bounded by its stated wall-clock budget. Run with -s to see the
-per-criterion pass/fail lines."""
-
-import time
+each bounded by its stated wall-clock budget, all read from one run of the
+"all" suite, whose deterministic report is the regression anchor. Run with -s
+to see the per-criterion pass/fail lines."""
 
 import pytest
 
-from gform_lab.suites import CHECKS, SuiteConfig, run_check
+from gform_lab.suites import CHECKS, SuiteConfig, run_suite
 
 CONFIG = SuiteConfig(seed=1, conductor_bound=100)
+
+# artifact_hash of `gform-lab propcheck all --seed 1`
+ARTIFACT_HASH = "17c308c34ae6c5be33ccc521e1fe70445f9cc55dcf0581d2d1b1a5f82be42b40"
 
 CRITERIA = [
     # (check id, human label, budget in seconds)
@@ -25,14 +27,23 @@ CRITERIA = [
 ]
 
 
+@pytest.fixture(scope="module")
+def report():
+    return run_suite("all", CONFIG)
+
+
 @pytest.mark.parametrize("check_id,label,budget", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_acceptance_criterion(check_id, label, budget):
-    t0 = time.perf_counter()
-    result = run_check(check_id, CONFIG)
-    elapsed = time.perf_counter() - t0
-    print(f"criterion {check_id} [{label}]: {result.status.upper()} ({elapsed:.2f}s)")
+def test_acceptance_criterion(report, check_id, label, budget):
+    (result,) = [c for c in report.checks if c.check_id == check_id]
+    print(f"criterion {check_id} [{label}]: {result.status.upper()} ({result.elapsed:.2f}s)")
     assert result.passed, f"criterion {check_id} failed: {result.details}"
-    assert elapsed < budget, f"criterion {check_id} exceeded its {budget}s budget ({elapsed:.2f}s)"
+    assert result.elapsed < budget, (
+        f"criterion {check_id} exceeded its {budget}s budget ({result.elapsed:.2f}s)"
+    )
+
+
+def test_report_artifact_hash_is_pinned(report):
+    assert report.core_json()["artifact_hash"] == ARTIFACT_HASH
 
 
 def test_every_criterion_is_covered():

@@ -4,11 +4,13 @@ from gform_lab import linalg
 from gform_lab.gforms import (
     GForm,
     IsometryResult,
+    IsometryWitness,
     WitnessNotFound,
     find_self_dual_generator,
     gform_from_A,
     is_self_dual_generator,
     isometry_equivalence,
+    self_dual_generator,
     standard_form,
     verify_inverse_law,
     verify_weak_multiplicativity,
@@ -56,11 +58,57 @@ def test_gform_from_A_conductor7(k7):
 
 
 def test_witness_element_is_self_dual_generator(k7):
-    form = gform_from_A(k7)
-    w = find_self_dual_generator(form)
-    a = witness_element(form, w)
-    assert is_self_dual(a, "both")
+    w, a = self_dual_generator(k7)
+    assert w.verify()
+    assert a == witness_element(w.form, w)
+    assert is_self_dual(a)
     assert is_self_dual_generator(a, sqrt_inverse_different(k7))
+
+
+def _orbit_is_orthonormal(form, coords):
+    """Oracle: all |G| x |G| pairings of the orbit. An orthonormal orbit of a
+    unimodular form has unit determinant, so no determinant is needed."""
+    orbit = [form.act(coords, s) for s in form.group.elements()]
+    return all(
+        form.pair(v, w) == (1 if i == j else 0)
+        for i, v in enumerate(orbit)
+        for j, w in enumerate(orbit)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,spec",
+    [("standard", 3), ("standard", 5), ("standard", 7),
+     ("A", (3, 7)), ("A", (3, 13)), ("A", (5, 11))],
+    ids=["C3", "C5", "C7", "A_deg3_f7", "A_deg3_f13", "A_deg5_f11"],
+)
+def test_witness_verification_matches_the_full_pairing_oracle(kind, spec):
+    if kind == "standard":
+        form = standard_form(FiniteAbelianGroup((spec,)))
+    else:
+        form = gform_from_A(build_field(*spec))
+    vectors = linalg.quadratic_solutions([list(r) for r in form.gram], 1)
+    assert vectors
+    verdicts = set()
+    for v in vectors:
+        for coords in (v, tuple(-x for x in v)):
+            verdict = IsometryWitness.of(form, coords).verify()
+            assert verdict == _orbit_is_orthonormal(form, coords), coords
+            verdicts.add(verdict)
+    assert True in verdicts
+
+
+def test_verify_rejects_tampered_witnesses():
+    form = standard_form(C5)
+    w = find_self_dual_generator(form)
+    rows = list(w.orbit_matrix)
+    rows[1], rows[2] = rows[2], rows[1]  # same pairings with v, unit det, not the orbit
+    assert not IsometryWitness(form, w.coords, tuple(rows)).verify()
+    # -1 + g + g^4 is a unit of Z[C5]: its orbit is a basis, but not orthonormal
+    unit = IsometryWitness.of(form, (-1, 1, 0, 0, 1))
+    assert abs(linalg.det([list(r) for r in unit.orbit_matrix])) == 1
+    assert form.pair(unit.coords, unit.coords) == 3
+    assert not unit.verify()
 
 
 def test_maximal_order_form_is_rejected(k7):

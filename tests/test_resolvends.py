@@ -10,6 +10,7 @@ from gform_lab.group_ring import (
     invert_by_linear_solve,
     try_invert,
 )
+from gform_lab.gforms import self_dual_generator
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import HomToG, build_field
 from gform_lab.resolvends import (
@@ -108,12 +109,24 @@ def test_pairing_identity_random_sweep(k7, h7):
 
 
 def test_self_duality_routes_agree(k7, h7):
+    # is_self_dual raises when its Gram and resolvend routes disagree
     rng = random.Random(3)
     a = AlgebraElement(h7, k7.periods[0])
     assert not is_self_dual(a)  # Tr(eta_0^2) = 5
     for _ in range(10):
-        x = rand_element(h7, rng)
-        assert is_self_dual(x, "gram") == is_self_dual(x, "resolvend")
+        assert not is_self_dual(rand_element(h7, rng))
+    for f in (7, 13, 19):
+        _, w = self_dual_generator(build_field(3, f))
+        for x in [w, *(w.act(s) for s in w.group.elements()), inverse_resolvend(w)]:
+            assert is_self_dual(x), (f, x)
+
+
+def test_self_duality_routes_disagreeing_raise(k7, h7, monkeypatch):
+    import gform_lab.resolvends as rsv
+
+    monkeypatch.setattr(rsv, "_trace_table", lambda a, b: GroupRingElement.one(a.group))
+    with pytest.raises(AssertionError):
+        is_self_dual(AlgebraElement(h7, k7.periods[0]))
 
 
 def test_homomorphism_property(k7, h7):

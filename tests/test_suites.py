@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -58,12 +59,13 @@ def test_every_check_in_exactly_one_nontrivial_suite():
     assert set(seen) == set(SUITES["all"])
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "gform_lab.cli", *argv],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, **(env or {})},
     )
     return proc
 
@@ -133,3 +135,41 @@ def test_cli_group_spec_validation():
     assert proc.returncode != 0
     proc = run_cli("stickelberger", "table", "--group", "2,4")
     assert proc.returncode != 0  # even order rejected at the pairing gate
+
+
+@pytest.mark.parametrize(
+    "argv,env,code,error",
+    [
+        (("selfdual", "search", "--conductor", "9"), {}, 2, "FieldConstructionError"),
+        (("field", "analyze", "--conductor", "9"), {}, 2, "FieldConstructionError"),
+        (("compose", "--conductors", "7,7"), {}, 2, "FieldConstructionError"),
+        (("stickelberger", "table", "--group", "2,4"), {}, 2, "GroupSpecError"),
+        (("field", "analyze", "--conductor", "7"), {"GFORM_LAB_MAX_LEVEL": "abc"}, 2, "ValueError"),
+        (("compose", "--conductors", "7,13"), {"GFORM_LAB_MAX_LEVEL": "50"}, 3,
+         "LevelBoundError"),
+    ],
+    ids=["selfdual_wild", "field_wild", "compose_clash", "even_group", "malformed_cap", "level_cap"],
+)
+def test_cli_library_errors_are_one_line(argv, env, code, error):
+    proc = run_cli(*argv, env=env)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"gform-lab: error: {error}: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_cli_verbs_are_argparse_choices():
+    proc = run_cli("selfdual", "find", "--conductor", "7")
+    assert proc.returncode == 2
+    assert "invalid choice: 'find'" in proc.stderr
+
+
+def test_cli_propcheck_reports_a_raising_check_as_error():
+    proc = run_cli("propcheck", "theorem11", "--json", env={"GFORM_LAB_MAX_LEVEL": "50"})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    checks = {c["id"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["C7"]["status"] == "pass"
+    assert checks["C8"]["status"] == "error"
+    assert checks["C8"]["name"] == "product_law_conductor_91"
+    assert checks["C8"]["details"]["error"].startswith("LevelBoundError: level 91 exceeds cap 50")
