@@ -163,10 +163,16 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CyclotomicNumber":
         """zeta_n^k at level n."""
-        _check_level(n)
         raw = [0] * n
         raw[k % n] = 1
-        return cls._raw(n, _reduce(n, euler_phi(n), raw))
+        return cls.from_powers(n, raw)
+
+    @classmethod
+    def from_powers(cls, level: int, raw, den: int = 1) -> "CyclotomicNumber":
+        """sum(raw[e] * zeta^e) / den for integers raw[e], e = 0..level-1, and
+        a positive integer den."""
+        _check_level(level)
+        return cls._raw(level, _reduce(level, euler_phi(level), list(raw)), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -6,6 +6,17 @@ The involution sends each group element to its inverse, and the character
 (Fourier) transform turns convolution into pointwise multiplication, which
 is how invertibility is decided. A regular-representation linear solve is
 kept alongside as an independent oracle.
+
+`try_invert` picks its route from the coefficients. A rational element
+(every coefficient a Fraction) takes the orbit route: QG splits as a product
+of fields Q(zeta_d), one per rational orbit of characters (Perlis-Walker),
+and the Fourier values along an orbit are Galois conjugates. So it takes one
+Fourier value per orbit, at level d = ord(chi), inverts it once, and returns
+to QG through traces Tr_{Q(zeta_d)/Q}. An element with a CyclotomicNumber
+coefficient takes the per-character route (`fourier`, one inverse per
+character, `fourier_inverse`), because its Fourier values need not be
+conjugate. Both routes verify the inverse by multiplying back. Products of
+rational elements run on integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -15,8 +26,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .cyclotomic import CyclotomicNumber
-from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError
+from .cyclotomic import CyclotomicNumber, _trace_table
+from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
 
 
 class NotInvertible(ArithmeticError):
@@ -165,16 +176,32 @@ class GroupRingElement:
         if other is NotImplemented:
             return other
         self._check(other)
+        T = group_tables(self.group)
+        if self.is_rational() and other.is_rational():
+            da, a = _integer_terms(self, T)
+            db, b = _integer_terms(other, T)
+            acc = [0] * len(T.elements)
+            for i, c in a:
+                row = T.prod[i]
+                for j, d in b:
+                    acc[row[j]] += c * d
+            den = da * db
+            return GroupRingElement(
+                self.group, {s: Fraction(v, den) for s, v in zip(T.elements, acc)}
+            )
+        index = T.element_index
+        b = [(index[t], d) for t, d in other.coeffs.items()]
         out = {}
         for s, c in self.coeffs.items():
-            for t, d in other.coeffs.items():
-                key = s * t
+            row = T.prod[index[s]]
+            for j, d in b:
+                key = row[j]
                 prod = c * d
                 if key in out:
                     out[key] = out[key] + prod
                 else:
                     out[key] = prod
-        return GroupRingElement(self.group, out)
+        return GroupRingElement(self.group, {T.elements[k]: c for k, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -229,6 +256,14 @@ class GroupRingElement:
         return {"group": list(self.group.invariant_factors), "terms": terms}
 
 
+def _integer_terms(x: GroupRingElement, T) -> tuple[int, list[tuple[int, int]]]:
+    """(den, [(element index, integer numerator)]) for a rational element:
+    x = sum (numerator / den) * elements[index]."""
+    den = lcm(*(c.denominator for c in x.coeffs.values()))
+    index = T.element_index
+    return den, [(index[s], c.numerator * (den // c.denominator)) for s, c in x.coeffs.items()]
+
+
 class FourierVector:
     """Character transform of a group-ring element: chi -> sum_s c_s chi(s)."""
 
@@ -264,14 +299,15 @@ def fourier(gamma: GroupRingElement) -> FourierVector:
     """Exact character transform; values live in Q(zeta_L) with
     L = lcm(exp(G), coefficient levels)."""
     G = gamma.group
-    m = G.exponent
-    level = lcm(m, gamma.coefficient_level())
-    roots = _zeta_powers(m, level)
+    T = group_tables(G)
+    level = lcm(G.exponent, gamma.coefficient_level())
+    roots = _zeta_powers(G.exponent, level)
+    terms = [(T.element_index[s], c) for s, c in gamma.coeffs.items()]
     values = {}
-    for chi in G.characters():
+    for chi, exps in zip(T.characters, T.value_exponents):
         acc = CyclotomicNumber.rational(0, level)
-        for s, c in gamma.coeffs.items():
-            acc = acc + roots[chi.value_exponent(s)] * c
+        for i, c in terms:
+            acc = acc + roots[exps[i]] * c
         values[chi] = acc
     return FourierVector(G, level, values)
 
@@ -280,34 +316,84 @@ def fourier_inverse(vec: FourierVector) -> GroupRingElement:
     """Inverse transform (division by |G|); rational coefficients are demoted
     back to Fractions so round trips are structural identities."""
     G = vec.group
+    T = group_tables(G)
     m = G.exponent
-    n = G.order
     level = vec.level
     roots = _zeta_powers(m, level)
+    terms = [(T.value_exponents[T.character_index[chi]], v) for chi, v in vec.values.items()]
     coeffs = {}
-    for s in G.elements():
+    for i, s in enumerate(T.elements):
         acc = CyclotomicNumber.rational(0, level)
-        s_inv = s.inverse()
-        for chi, v in vec.values.items():
-            acc = acc + roots[chi.value_exponent(s_inv)] * v
-        coeffs[s] = _demote(acc * Fraction(1, n))
+        for exps, v in terms:
+            # chi(s^-1) = zeta_m^(-e)
+            acc = acc + roots[-exps[i] % m] * v
+        coeffs[s] = _demote(acc * Fraction(1, G.order))
     return GroupRingElement(G, coeffs)
 
 
 def try_invert(gamma: GroupRingElement) -> GroupRingElement:
     """Invert via the character transform; raises NotInvertible (carrying the
-    vanishing character) when some Fourier value is zero. The product with the
-    input is verified to be 1 before returning."""
+    first character, in `characters()` order, at which the Fourier value
+    vanishes) when some Fourier value is zero. A rational gamma takes one
+    Fourier value per rational character orbit, any other gamma one per
+    character (see the module docstring). The product with the input is
+    verified to be 1 before returning."""
+    if gamma.is_rational():
+        inv = _invert_by_orbits(gamma)
+    else:
+        inv = _invert_by_characters(gamma)
+    if not (inv * gamma == GroupRingElement.one(gamma.group)):
+        raise ArithmeticError("inverse verification failed")
+    return inv
+
+
+def _invert_by_characters(gamma: GroupRingElement) -> GroupRingElement:
     vec = fourier(gamma)
     inv_values = {}
     for chi, v in vec.values.items():
         if v.is_zero():
             raise NotInvertible(f"Fourier value vanishes at {chi}", character=chi)
         inv_values[chi] = v.inverse()
-    inv = fourier_inverse(FourierVector(gamma.group, vec.level, inv_values))
-    if not (inv * gamma == GroupRingElement.one(gamma.group)):
-        raise ArithmeticError("inverse verification failed")
-    return inv
+    return fourier_inverse(FourierVector(gamma.group, vec.level, inv_values))
+
+
+def _invert_by_orbits(gamma: GroupRingElement) -> GroupRingElement:
+    """For rational gamma: the Fourier value at the representative chi of
+    each orbit, an element of Q(zeta_d) with d = ord(chi), is inverted once,
+    to w; the inverse has coefficients
+    c_s = (1/|G|) sum over orbits of Tr_{Q(zeta_d)/Q}(chi(s)^-1 * w),
+    because the values at the other members chi^k of the orbit are the
+    conjugates sigma_k(w)."""
+    G = gamma.group
+    T = group_tables(G)
+    den, terms = _integer_terms(gamma, T)
+    values = []
+    for rep, d in T.orbits:
+        # chi(s) = zeta_m^e with (m/d) | e, i.e. zeta_d^(e/(m/d))
+        step = G.exponent // d
+        exps = T.value_exponents[rep]
+        raw = [0] * d
+        for i, c in terms:
+            raw[exps[i] // step] += c
+        value = CyclotomicNumber.from_powers(d, raw, den)
+        if value.is_zero():
+            chi = T.characters[rep]
+            raise NotInvertible(f"Fourier value vanishes at {chi}", character=chi)
+        values.append((step, exps, value))
+    inverses = [(step, exps, value.inverse()) for step, exps, value in values]
+    common = lcm(*(w.den for _, _, w in inverses))
+    acc = [0] * G.order
+    for step, exps, w in inverses:
+        # traces[k] = (common / w.den) * sum_j w.num[j] * Tr(zeta_d^(j-k))
+        #           = common * Tr(zeta_d^-k * w)
+        d, table, scale = w.level, _trace_table(w.level), common // w.den
+        traces = [
+            scale * sum(c * table[(j - k) % d] for j, c in enumerate(w.num)) for k in range(d)
+        ]
+        for i, e in enumerate(exps):
+            acc[i] += traces[e // step]
+    total = common * G.order
+    return GroupRingElement(G, {s: Fraction(a, total) for s, a in zip(T.elements, acc)})
 
 
 def is_integral_unit(gamma: GroupRingElement) -> bool:
@@ -346,15 +432,14 @@ def class_membership(gamma: GroupRingElement) -> SelfDualityClass:
 
 def regular_representation_matrix(gamma: GroupRingElement):
     """Matrix of left multiplication by gamma on the basis enumerate(G)."""
-    G = gamma.group
-    elems = G.elements()
-    index = {s: i for i, s in enumerate(elems)}
-    n = len(elems)
+    T = group_tables(gamma.group)
+    n = len(T.elements)
     zero = Fraction(0)
     mat = [[zero] * n for _ in range(n)]
-    for j, h in enumerate(elems):
-        for s, c in gamma.coeffs.items():
-            mat[index[s * h]][j] = c
+    for s, c in gamma.coeffs.items():
+        row_of = T.prod[T.element_index[s]]
+        for j in range(n):
+            mat[row_of[j]][j] = c
     return mat
 
 
@@ -388,7 +473,7 @@ def invert_by_linear_solve(gamma: GroupRingElement) -> GroupRingElement:
     """Independent inversion oracle: solve gamma * x = 1 in the regular
     representation by exact Gaussian elimination."""
     G = gamma.group
-    elems = G.elements()
+    elems = group_tables(G).elements
     rhs = [Fraction(0)] * len(elems)
     rhs[0] = Fraction(1)  # identity is first in enumeration order
     try:

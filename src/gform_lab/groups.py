@@ -4,13 +4,23 @@ A group is an invariant-factor chain d_1 | d_2 | ... | d_k (each >= 2; the
 empty chain is the trivial group). Elements and characters are exponent
 vectors; character values are never floats, only the exponent e with
 chi(s) = zeta_m^e for m = exp(G).
+
+`group_tables(G)` holds, once per group, the enumerations and the integer
+tables that the group-ring and Stickelberger layers read: index maps, the
+product table, character values, element orders, the centered pairing, the
+rational character orbits and the determinant-kernel basis. Each table is
+built on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd, lcm
+
+from . import linalg
 
 DEFAULT_ENUMERATION_BOUND = 10_000
 
@@ -210,3 +220,113 @@ def galois_twist(s: GroupElement, k: int, n_sign: int) -> GroupElement:
         raise ValueError(f"{k} is not a unit mod {m}")
     e = pow(k, n_sign, m) if m > 1 else 0
     return s**e
+
+
+@dataclass(frozen=True, eq=False)
+class GroupTables:
+    """Enumerations of G and G^ with their index maps, plus integer tables
+    indexed by position in those enumerations (elements in `elements()`
+    order, characters in `characters()` order)."""
+
+    group: FiniteAbelianGroup
+    elements: tuple[GroupElement, ...]
+    characters: tuple[Character, ...]
+    element_index: dict
+    character_index: dict
+
+    @cached_property
+    def prod(self) -> tuple[tuple[int, ...], ...]:
+        """prod[i][j] = index of elements[i] * elements[j]."""
+        index = self.element_index
+        return tuple(
+            tuple(index[s * t] for t in self.elements) for s in self.elements
+        )
+
+    @cached_property
+    def value_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """value_exponents[c][i] = e with characters[c](elements[i]) = zeta_m^e."""
+        return tuple(
+            tuple(character_value_exponent(chi, s) for s in self.elements)
+            for chi in self.characters
+        )
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(s.order() for s in self.elements)
+
+    @cached_property
+    def upsilon(self) -> tuple[tuple[int, ...], ...]:
+        """upsilon[c][i] = the u in [-(o-1)/2, (o-1)/2] with
+        characters[c](elements[i]) = zeta_o^u, o = |elements[i]|; odd |G| only."""
+        if self.group.order % 2 == 0:
+            raise GroupSpecError(
+                f"{self.group} has even order; the centered pairing needs odd order"
+            )
+        m = self.group.exponent
+        rows = []
+        for exps in self.value_exponents:
+            row = []
+            for e, o in zip(exps, self.orders):
+                # chi(s) is an o-th root of unity, so (m/o) divides e
+                u = (e * o // m) % o
+                row.append(u - o if u > (o - 1) // 2 else u)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, int], ...]:
+        """Rational character orbits {chi^k : gcd(k, d) = 1}, d = ord(chi),
+        as (index of chi, d). The representative chi is the first member of
+        its orbit in enumeration order, so the orbits are listed in the order
+        of their representatives."""
+        seen = set()
+        out = []
+        for i, chi in enumerate(self.characters):
+            if chi in seen:
+                continue
+            d = chi.order()
+            seen.update(chi**k for k in range(1, d + 1) if gcd(k, d) == 1)
+            out.append((i, d))
+        return tuple(out)
+
+    @cached_property
+    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical basis (HNF rows) of the kernel of det: ZG^ -> G^,
+        psi -> prod chi^(psi_chi). The kernel has full rank |G| and index |G|;
+        both facts, and det = 1 on every row, are verified."""
+        G = self.group
+        n = G.order
+        facs = G.invariant_factors
+        if not facs:
+            return ((1,),)
+        # rows: identity block, then the det map scaled into rational form
+        mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i, d in enumerate(facs):
+            mat.append([Fraction(chi.exponents[i], d) for chi in self.characters])
+        rows, den = linalg.preimage_lattice(mat)
+        if den != 1:
+            raise ArithmeticError("kernel lattice is not integral")
+        index = 1
+        for i in range(n):
+            index *= rows[i][i]
+        if index != n:
+            raise ArithmeticError(f"kernel index {index} != |G| = {n}")
+        for row in rows:
+            for i, d in enumerate(facs):
+                if sum(c * chi.exponents[i] for c, chi in zip(row, self.characters)) % d:
+                    raise ArithmeticError("basis vector escapes the determinant kernel")
+        return tuple(tuple(row) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def group_tables(group: FiniteAbelianGroup) -> GroupTables:
+    """The tables of a group, built once per group and cached."""
+    elements = tuple(group.elements())
+    characters = tuple(group.characters())
+    return GroupTables(
+        group,
+        elements,
+        characters,
+        {s: i for i, s in enumerate(elements)},
+        {chi: i for i, chi in enumerate(characters)},
+    )

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import linalg
 from .arith import euler_phi, unit_group_generators, units_mod
 from .cyclotomic import CyclotomicNumber
 from .groups import (
     Character,
+    EnumerationBoundError,
     FiniteAbelianGroup,
     GroupElement,
     GroupSpecError,
     galois_twist,
+    group_tables,
 )
 
 
@@ -37,13 +38,8 @@ def upsilon(chi: Character, s: GroupElement) -> int:
     _require_odd(chi.group)
     if chi.group != s.group:
         raise ValueError("character and element belong to different groups")
-    o = s.order()
-    m = chi.group.exponent
-    e = chi.value_exponent(s)
-    # chi(s) is an o-th root of unity, so (m/o) divides e
-    u = (e * o // m) % o
-    half = (o - 1) // 2
-    return u - o if u > half else u
+    T = group_tables(chi.group)
+    return T.upsilon[T.character_index[chi]][T.element_index[s]]
 
 
 def pairing_char(chi: Character, s: GroupElement) -> Fraction:
@@ -68,7 +64,7 @@ class DualLatticeElement:
     def from_character(cls, chi: Character, mult: int = 1) -> "DualLatticeElement":
         G = chi.group
         coeffs = [0] * G.order
-        coeffs[G.characters().index(chi)] = mult
+        coeffs[group_tables(G).character_index[chi]] = mult
         return cls(G, tuple(coeffs))
 
     def __add__(self, other: "DualLatticeElement") -> "DualLatticeElement":
@@ -86,7 +82,7 @@ class DualLatticeElement:
         """prod chi^{n_chi} in the dual group."""
         G = self.group
         exps = [0] * G.rank
-        for chi, n in zip(G.characters(), self.coeffs):
+        for chi, n in zip(group_tables(G).characters, self.coeffs):
             for i, a in enumerate(chi.exponents):
                 exps[i] += n * a
         return G.character(tuple(exps))
@@ -94,11 +90,10 @@ class DualLatticeElement:
     def conjugate(self) -> "DualLatticeElement":
         """Precompose with chi -> chi^{-1} (the dual-side involution)."""
         G = self.group
-        chars = G.characters()
-        index = {c: i for i, c in enumerate(chars)}
-        out = [0] * len(chars)
-        for chi, n in zip(chars, self.coeffs):
-            out[index[chi.inverse()]] += n
+        T = group_tables(G)
+        out = [0] * G.order
+        for chi, n in zip(T.characters, self.coeffs):
+            out[T.character_index[chi.inverse()]] += n
         return DualLatticeElement(G, tuple(out))
 
     def galois_act(self, k: int) -> "DualLatticeElement":
@@ -106,11 +101,10 @@ class DualLatticeElement:
         G = self.group
         if gcd(k, G.exponent) != 1:
             raise ValueError(f"{k} is not a unit mod exp(G)")
-        chars = G.characters()
-        index = {c: i for i, c in enumerate(chars)}
-        out = [0] * len(chars)
-        for chi, n in zip(chars, self.coeffs):
-            out[index[chi**k]] += n
+        T = group_tables(G)
+        out = [0] * G.order
+        for chi, n in zip(T.characters, self.coeffs):
+            out[T.character_index[chi**k]] += n
         return DualLatticeElement(G, tuple(out))
 
 
@@ -125,7 +119,7 @@ class StickelbergerVector:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     def coefficient(self, s: GroupElement) -> Fraction:
-        return self.coeffs[self.group.elements().index(s)]
+        return self.coeffs[group_tables(self.group).element_index[s]]
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -133,11 +127,10 @@ class StickelbergerVector:
     def twist(self, k: int) -> "StickelbergerVector":
         """Move mass along s -> s^{k^{-1}} (the inverse-cyclotomic action)."""
         G = self.group
-        elems = G.elements()
-        index = {s: i for i, s in enumerate(elems)}
-        out = [Fraction(0)] * len(elems)
-        for s, c in zip(elems, self.coeffs):
-            out[index[galois_twist(s, k, -1)]] += c
+        T = group_tables(G)
+        out = [Fraction(0)] * G.order
+        for s, c in zip(T.elements, self.coeffs):
+            out[T.element_index[galois_twist(s, k, -1)]] += c
         return StickelbergerVector(G, tuple(out))
 
     def __add__(self, other):
@@ -180,51 +173,27 @@ def pairing(psi, alpha, group: FiniteAbelianGroup | None = None) -> Fraction:
 
 
 def stickelberger_map(psi: DualLatticeElement) -> StickelbergerVector:
-    """psi -> sum_s <psi, s> s as a rational vector over G."""
+    """psi -> sum_s <psi, s> s as a rational vector over G: the numerators
+    sum_chi psi_chi * upsilon(chi, s) are summed as integers, then divided
+    by |s| once per element."""
     G = psi.group
     _require_odd(G)
-    chars = G.characters()
-    coeffs = []
-    for s in G.elements():
-        acc = Fraction(0)
-        o = s.order()
-        for chi, n in zip(chars, psi.coeffs):
-            if n:
-                acc += Fraction(n * upsilon(chi, s), o)
-        coeffs.append(acc)
-    return StickelbergerVector(G, tuple(coeffs))
+    T = group_tables(G)
+    acc = [0] * G.order
+    for row, n in zip(T.upsilon, psi.coeffs):
+        if n:
+            for i, u in enumerate(row):
+                acc[i] += n * u
+    return StickelbergerVector(G, tuple(Fraction(a, o) for a, o in zip(acc, T.orders)))
 
 
 def det_kernel_basis(group: FiniteAbelianGroup) -> list[DualLatticeElement]:
     """Canonical basis (HNF rows) of the kernel of det: ZG^ -> G^.
 
     The kernel has full rank |G| and index |G| in ZG^; both facts are
-    verified before returning.
+    verified when the group's tables are first built.
     """
-    n = group.order
-    chars = group.characters()
-    facs = group.invariant_factors
-    if not facs:
-        return [DualLatticeElement(group, (1,))]
-    # rows: identity block, then the det map scaled into rational form
-    mat: list[list[Fraction]] = [
-        [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    for i, d in enumerate(facs):
-        mat.append([Fraction(chi.exponents[i], d) for chi in chars])
-    rows, den = linalg.preimage_lattice(mat)
-    if den != 1:
-        raise ArithmeticError("kernel lattice is not integral")
-    index = 1
-    for i in range(n):
-        index *= rows[i][i]
-    if index != n:
-        raise ArithmeticError(f"kernel index {index} != |G| = {n}")
-    basis = [DualLatticeElement(group, tuple(r)) for r in rows]
-    for psi in basis:
-        if not psi.det().is_trivial:
-            raise ArithmeticError("basis vector escapes the determinant kernel")
-    return basis
+    return [DualLatticeElement(group, row) for row in group_tables(group).kernel_basis]
 
 
 def integrality_check(psi: DualLatticeElement, propcheck: bool = False) -> bool:
@@ -360,19 +329,36 @@ class EquivariantMap:
         return cls(group, values, acting_generators=gens)
 
 
-def transpose_value(f: EquivariantMap, psi: DualLatticeElement) -> CyclotomicNumber:
-    """Value of f after precomposition with the Stickelberger map:
-    prod_s f(s)^(n_s) where the image of psi is sum n_s s (psi must sit in the
-    determinant kernel so that the exponents are integers)."""
+def _split_transpose(
+    f: EquivariantMap, psi: DualLatticeElement
+) -> tuple[CyclotomicNumber, CyclotomicNumber]:
+    """(prod_{n_s > 0} f(s)^(n_s), prod_{n_s < 0} f(s)^(-n_s)) where the
+    image of psi is sum n_s s (psi must sit in the determinant kernel so that
+    the exponents are integers). Neither product takes an inverse."""
     theta = stickelberger_map(psi)
     if not theta.is_integral():
         raise ValueError("psi is outside the determinant kernel; exponents not integral")
-    acc = CyclotomicNumber.rational(1, 1)
-    for s, c in zip(f.group.elements(), theta.coeffs):
+    pos = neg = None
+    for s, c in zip(group_tables(f.group).elements, theta.coeffs):
         e = int(c)
-        if e:
-            acc = acc * f(s) ** e
-    return acc
+        if e > 0:
+            x = f(s) ** e
+            pos = x if pos is None else pos * x
+        elif e < 0:
+            x = f(s) ** -e
+            neg = x if neg is None else neg * x
+    one = CyclotomicNumber.rational(1, 1)
+    return (one if pos is None else pos), (one if neg is None else neg)
+
+
+def transpose_value(f: EquivariantMap, psi: DualLatticeElement) -> CyclotomicNumber:
+    """Value of f after precomposition with the Stickelberger map:
+    prod_s f(s)^(n_s) where the image of psi is sum n_s s (psi must sit in the
+    determinant kernel so that the exponents are integers). The positive and
+    negative parts are multiplied out separately, so the value costs at most
+    one inverse, whatever the number of negative exponents."""
+    pos, neg = _split_transpose(f, psi)
+    return pos if neg.is_one() else pos * neg.inverse()
 
 
 def equivariance_check(group: FiniteAbelianGroup, acting_generators) -> bool:
@@ -395,12 +381,17 @@ def equivariance_check(group: FiniteAbelianGroup, acting_generators) -> bool:
 
 def image_selfdual_check(f: EquivariantMap) -> bool:
     """transpose(f) lands in the strict self-dual class: its value at psi
-    times its value at the conjugate of psi is 1 on a kernel basis."""
-    basis = det_kernel_basis(f.group)
-    for psi in basis:
-        v1 = transpose_value(f, psi)
-        v2 = transpose_value(f, psi.conjugate())
-        if not (v1 * v2 == 1):
+    times its value at the conjugate of psi is 1 on a kernel basis.
+
+    With v = p/n split into the products over positive and negative
+    exponents, v(psi) * v(conj psi) = 1 is decided as p1 * p2 == n1 * n2,
+    without a division. This is exactly equivalent because every n is a
+    product of values of f, and EquivariantMap rejects a vanishing value at
+    construction."""
+    for psi in det_kernel_basis(f.group):
+        p1, n1 = _split_transpose(f, psi)
+        p2, n2 = _split_transpose(f, psi.conjugate())
+        if not (p1 * p2 == n1 * n2):
             return False
     return True
 
@@ -412,15 +403,15 @@ def image_selfdual_check(f: EquivariantMap) -> bool:
 def _pairing_data(group: FiniteAbelianGroup):
     import numpy as np
 
-    chars = group.characters()
-    elems = group.elements()
-    ups = np.array(
-        [[upsilon(chi, s) for s in elems] for chi in chars], dtype=np.int64
-    )
-    orders = np.array([s.order() for s in elems], dtype=np.int64)
-    char_exps = np.array([list(chi.exponents) for chi in chars], dtype=np.int64)
+    T = group_tables(group)
+    ups = np.array(T.upsilon, dtype=np.int64)
+    orders = np.array(T.orders, dtype=np.int64)
+    char_exps = np.array([list(chi.exponents) for chi in T.characters], dtype=np.int64)
     facs = np.array(list(group.invariant_factors), dtype=np.int64)
     return ups, orders, char_exps, facs
+
+
+_INT64_MAX = (1 << 63) - 1
 
 
 def integrality_sweep_exhaustive(
@@ -429,15 +420,21 @@ def integrality_sweep_exhaustive(
     """Exhaustively check, over all psi with coefficients in
     [-coeff_bound, coeff_bound], that the Stickelberger image is integral
     exactly when det(psi) is trivial. Returns (total vectors, kernel hits);
-    raises AssertionError on any mismatch. Integer-only numpy arithmetic.
+    raises AssertionError on any mismatch. Integer-only numpy arithmetic; a
+    sweep whose (2 * coeff_bound + 1)**|G| vectors cannot be indexed in int64
+    raises EnumerationBoundError before anything is allocated.
     """
     import numpy as np
 
     _require_odd(group)
-    ups, orders, char_exps, facs = _pairing_data(group)
     n = group.order
     width = 2 * coeff_bound + 1
     total = width**n
+    if total > _INT64_MAX:
+        raise EnumerationBoundError(
+            f"sweep of {width}**{n} vectors does not fit int64; lower coeff_bound"
+        )
+    ups, orders, char_exps, facs = _pairing_data(group)
     hits = 0
     powers = width ** np.arange(n, dtype=np.int64)
     for start in range(0, total, chunk):

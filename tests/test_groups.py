@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from gform_lab.groups import (
@@ -8,7 +10,9 @@ from gform_lab.groups import (
     character_value_exponent,
     enumerate_elements,
     galois_twist,
+    group_tables,
 )
+from gform_lab.arith import euler_phi
 
 
 def test_group_validation():
@@ -117,3 +121,51 @@ def test_galois_twist_is_automorphism_and_invertible():
                 assert galois_twist(s * t, k, 1) == galois_twist(s, k, 1) * galois_twist(t, k, 1)
             assert galois_twist(galois_twist(s, k, -1), k, 1) == s
             assert galois_twist(s, k, 0) == s
+
+
+TABLE_GROUPS = [(), (3,), (2, 4), (9,), (15,), (3, 3), (3, 9)]
+
+
+@pytest.mark.parametrize("facs", TABLE_GROUPS)
+def test_group_tables_match_direct_computation(facs):
+    G = FiniteAbelianGroup(facs)
+    T = group_tables(G)
+    assert group_tables(G) is T
+    assert list(T.elements) == G.elements()
+    assert list(T.characters) == G.characters()
+    assert all(T.element_index[s] == i for i, s in enumerate(T.elements))
+    assert all(T.character_index[chi] == i for i, chi in enumerate(T.characters))
+    for i, s in enumerate(T.elements):
+        assert T.orders[i] == s.order()
+        for j, t in enumerate(T.elements):
+            assert T.elements[T.prod[i][j]] == s * t
+    m = G.exponent
+    for c, chi in enumerate(T.characters):
+        for i, s in enumerate(T.elements):
+            e = T.value_exponents[c][i]
+            assert e == character_value_exponent(chi, s)
+            if G.order % 2:
+                # upsilon is the centered u with zeta_o^u = zeta_m^e, o = |s|
+                o = s.order()
+                u = T.upsilon[c][i]
+                assert 2 * abs(u) <= o - 1
+                assert (u * m - e * o) % (m * o) == 0
+    if G.order % 2 == 0:
+        with pytest.raises(GroupSpecError):
+            T.upsilon
+
+
+@pytest.mark.parametrize("facs", TABLE_GROUPS)
+def test_group_tables_orbits_partition_the_characters(facs):
+    G = FiniteAbelianGroup(facs)
+    T = group_tables(G)
+    covered = []
+    for rep, d in T.orbits:
+        chi = T.characters[rep]
+        assert chi.order() == d
+        members = {T.character_index[chi**k] for k in range(1, d + 1) if gcd(k, d) == 1}
+        assert len(members) == euler_phi(d)
+        assert rep == min(members)  # first in characters() order
+        covered += members
+    assert sorted(covered) == list(range(G.order))
+    assert [rep for rep, _ in T.orbits] == sorted(rep for rep, _ in T.orbits)

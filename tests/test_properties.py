@@ -5,7 +5,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gform_lab.cyclotomic import CyclotomicNumber
-from gform_lab.group_ring import GroupRingElement, fourier, fourier_inverse
+import pytest
+
+from gform_lab.group_ring import (
+    FourierVector,
+    GroupRingElement,
+    NotInvertible,
+    fourier,
+    fourier_inverse,
+    invert_by_linear_solve,
+    try_invert,
+)
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.stickelberger import DualLatticeElement, integrality_check
 
@@ -71,3 +81,52 @@ def test_fourier_roundtrip(a):
 def test_integrality_iff_kernel_c33(coeffs):
     psi = DualLatticeElement(C33, tuple(coeffs))
     assert integrality_check(psi, propcheck=True) == psi.det().is_trivial
+
+
+ORBIT_GROUPS = [FiniteAbelianGroup(f) for f in [(3,), (5,), (7,), (9,), (15,), (3, 3), (3, 9)]]
+
+
+@st.composite
+def small_rational_elements(draw):
+    """Rational elements with coefficients in [-2, 2] over a group drawn
+    from ORBIT_GROUPS; some coefficients have denominators. Half the draws
+    are multiplied by the norm element of a cyclic subgroup <s>, s != 1,
+    which makes the Fourier values vanish at every character nontrivial on
+    s, so the first vanishing character is not the trivial one."""
+    G = draw(st.sampled_from(ORBIT_GROUPS))
+    coeffs = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 1, 1, 2, 3))),
+            min_size=G.order,
+            max_size=G.order,
+        )
+    )
+    gamma = GroupRingElement(G, dict(zip(G.elements(), coeffs)))
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(G.elements()[1:]))
+        norm = GroupRingElement(G, {s**k: 1 for k in range(s.order())})
+        gamma = gamma * norm
+    return gamma
+
+
+@settings(max_examples=120, deadline=None)
+@given(gamma=small_rational_elements())
+def test_orbit_inversion_matches_both_oracles(gamma):
+    """try_invert (orbit route) against the regular-representation solve and
+    the per-character transform, on units and on singular elements."""
+    G = gamma.group
+    vec = fourier(gamma)
+    vanishing = [chi for chi in G.characters() if vec[chi].is_zero()]
+    if vanishing:
+        with pytest.raises(NotInvertible) as info:
+            try_invert(gamma)
+        assert info.value.character == vanishing[0]
+        with pytest.raises(NotInvertible):
+            invert_by_linear_solve(gamma)
+        return
+    inv = try_invert(gamma)
+    assert inv == invert_by_linear_solve(gamma)
+    per_character = FourierVector(
+        G, vec.level, {chi: v.inverse() for chi, v in vec.values.items()}
+    )
+    assert inv == fourier_inverse(per_character)

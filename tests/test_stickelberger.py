@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gform_lab.cyclotomic import CyclotomicNumber
-from gform_lab.groups import FiniteAbelianGroup, character_value_exponent
+from gform_lab.groups import EnumerationBoundError, FiniteAbelianGroup, character_value_exponent
 from gform_lab.stickelberger import (
     DualLatticeElement,
     EquivariantMap,
@@ -262,3 +262,59 @@ def test_random_map_is_checked_equivariant():
 
             t = galois_twist(s, u, -1)
             assert f(t) == f(s).galois(u % f.level if f.level > 1 else 1)
+
+
+def per_exponent_transpose(f, psi):
+    """The transpose value as prod_s f(s)^(n_s), one inverse per negative
+    exponent: the reference for the split products."""
+    acc = CyclotomicNumber.rational(1, 1)
+    for s, c in zip(f.group.elements(), stickelberger_map(psi).coeffs):
+        e = int(c)
+        if e:
+            acc = acc * f(s) ** e
+    return acc
+
+
+@pytest.mark.parametrize("G", [C3, C7, C9], ids=str)
+def test_transpose_value_matches_per_exponent_product(G):
+    rng = random.Random(31)
+    basis = det_kernel_basis(G)
+    for _ in range(4):
+        f = EquivariantMap.random_map(G, rng)
+        psis = list(basis)
+        for _ in range(4):
+            psi = dual(G, (0,) * G.order)
+            for b in basis:
+                psi = psi + rng.randint(-2, 2) * b
+            psis.append(psi)
+        for psi in psis:
+            assert transpose_value(f, psi) == per_exponent_transpose(f, psi)
+
+
+def test_image_selfdual_check_decides_without_division(monkeypatch):
+    # no acting residues, so the values need not be equivariant
+    values = {
+        C3.identity(): Fraction(2),
+        C3.element((1,)): Fraction(3),
+        C3.element((2,)): CyclotomicNumber.zeta(3) + 2,
+    }
+    f = EquivariantMap(C3, values, acting_generators=())
+    # upsilon is odd in chi, so the image of the conjugate is minus the
+    # image, and v(psi) * v(conj psi) = 1 holds for every nonvanishing map
+    for psi in det_kernel_basis(C3):
+        image = stickelberger_map(psi).coeffs
+        assert stickelberger_map(psi.conjugate()).coeffs == tuple(-c for c in image)
+    assert image_selfdual_check(f)
+    # pairing psi with itself asks v(psi)^2 = 1 instead, which fails here;
+    # the comparison p1 * p2 == n1 * n2 must see it
+    monkeypatch.setattr(DualLatticeElement, "conjugate", lambda self: self)
+    assert not image_selfdual_check(f)
+
+
+@pytest.mark.parametrize("bound,width", [(64, 129), (100, 201), (200, 401)])
+def test_exhaustive_sweep_rejects_an_int64_overflow(bound, width):
+    # width**9 > 2**63 - 1 vectors (129**9 is about 9.9e18, 201**9 about
+    # 5.4e20): rejected before anything is allocated
+    with pytest.raises(EnumerationBoundError, match=rf"{width}\*\*9 vectors"):
+        integrality_sweep_exhaustive(C33, bound)
+    assert issubclass(EnumerationBoundError, ValueError)

@@ -173,3 +173,13 @@ def test_cli_propcheck_reports_a_raising_check_as_error():
     assert checks["C8"]["status"] == "error"
     assert checks["C8"]["name"] == "product_law_conductor_91"
     assert checks["C8"]["details"]["error"].startswith("LevelBoundError: level 91 exceeds cap 50")
+
+
+def test_cli_propcheck_reports_a_raising_field_as_error():
+    proc = run_cli("propcheck", "fields", "--json", env={"GFORM_LAB_MAX_LEVEL": "50"})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["id"] == "C5"
+    assert check["status"] == "error"
+    assert check["details"]["error"].startswith("LevelBoundError: level 61 exceeds cap 50")
