@@ -167,7 +167,6 @@ def gform_from_A(field: PeriodField, hom: HomToG | None = None) -> GForm:
     for row in m_gen_frac:
         out = []
         for c in row:
-            c = Fraction(c)
             if c.denominator != 1:
                 raise ArithmeticError("Galois action does not stabilize the A-lattice")
             out.append(int(c))

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
+from .arith import euler_phi
 from .cyclotomic import CyclotomicNumber, _trace_table
 from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
 
@@ -430,57 +431,42 @@ def class_membership(gamma: GroupRingElement) -> SelfDualityClass:
 # regular representation oracle
 
 
-def regular_representation_matrix(gamma: GroupRingElement):
-    """Matrix of left multiplication by gamma on the basis enumerate(G)."""
-    T = group_tables(gamma.group)
-    n = len(T.elements)
-    zero = Fraction(0)
-    mat = [[zero] * n for _ in range(n)]
-    for s, c in gamma.coeffs.items():
-        row_of = T.prod[T.element_index[s]]
-        for j in range(n):
-            mat[row_of[j]][j] = c
-    return mat
-
-
-def regular_representation_determinant(gamma: GroupRingElement):
-    """Division-free determinant of the regular representation by minor
-    expansion; intended for small groups (|G| <= 6), where it decides
-    invertibility without a single coefficient inversion."""
-    if gamma.group.order > 6:
-        raise ValueError("minor expansion is only sensible for |G| <= 6")
-    return _det_by_minors(regular_representation_matrix(gamma))
-
-
-def _det_by_minors(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = None
-    for j in range(n):
-        c = mat[0][j]
-        if _is_zero(c):
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = c * _det_by_minors(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
-
-
 def invert_by_linear_solve(gamma: GroupRingElement) -> GroupRingElement:
     """Independent inversion oracle: solve gamma * x = 1 in the regular
-    representation by exact Gaussian elimination."""
+    representation over Q by one exact integer elimination. Coefficients in
+    Q(zeta_L), L the coefficient level, enter by restriction of scalars:
+    each becomes the phi(L) x phi(L) matrix of multiplication by it on the
+    power basis, so the system has |G| phi(L) unknowns (|G| for a rational
+    gamma)."""
     G = gamma.group
-    elems = group_tables(G).elements
-    rhs = [Fraction(0)] * len(elems)
-    rhs[0] = Fraction(1)  # identity is first in enumeration order
+    T = group_tables(G)
+    level = gamma.coefficient_level()
+    phi = euler_phi(level)
+    size = len(T.elements) * phi
+    mat = [[0] * size for _ in range(size)]
+    for s, c in gamma.coeffs.items():
+        # column k of the block of c: the coordinates of c * zeta^k
+        if isinstance(c, CyclotomicNumber):
+            cols = [(c * CyclotomicNumber.zeta(level, k)).coeffs for k in range(phi)]
+        else:
+            cols = [[c if i == k else 0 for i in range(phi)] for k in range(phi)]
+        block = list(zip(*cols))
+        # gamma * t_j has c at s t_j = elements[k]
+        for j, k in enumerate(T.prod[T.element_index[s]]):
+            for i, block_row in enumerate(block):
+                mat[k * phi + i][j * phi : (j + 1) * phi] = block_row
+    rhs = [0] * size
+    rhs[0] = 1  # zeta^0 times the identity, first in enumeration order
     try:
-        x = linalg.solve(regular_representation_matrix(gamma), rhs)
+        x = linalg.solve(mat, rhs)
     except ValueError as exc:
         raise NotInvertible("regular representation is singular") from exc
-    out = GroupRingElement(G, {s: _demote(c) for s, c in zip(elems, x)})
+    if phi == 1:
+        coeffs = zip(T.elements, x)
+    else:
+        blocks = (x[j * phi : (j + 1) * phi] for j in range(len(T.elements)))
+        coeffs = ((s, _demote(CyclotomicNumber(level, b))) for s, b in zip(T.elements, blocks))
+    out = GroupRingElement(G, coeffs)
     if not (out * gamma == GroupRingElement.one(G)):
         raise ArithmeticError("linear-solve inverse verification failed")
     return out

@@ -1,16 +1,19 @@
 """Exact dense linear algebra over Z and Q.
 
-Matrices are lists of row lists; entries are python ints, Fractions or, in
-the field routines, CyclotomicNumbers. Everything is small (rank <= ~100)
-and exact. Two cores do all the elimination:
+Matrices are lists of row lists; entries are python ints or Fractions.
+Everything is small (rank <= ~100) and exact. Two cores do all the
+elimination, both on integer rows:
 
 - `_hnf_in_place`, the integer row Hermite normal form by unimodular row
   operations (Cohen, GTM 138, section 2.4). `hnf` and `hnf_with_transform`
   are thin entry points over it, and `integer_kernel` reaches it through
   them.
-- `_eliminate`, Gaussian elimination over a field (Cohen, section 2.2).
-  `det` and `independent_rows` clear below the pivots only; `inverse` and
-  `solve` clear above them too.
+- `_eliminate`, fraction-free Gaussian elimination (Bareiss 1968; Cohen,
+  GTM 138, section 2.2) on rows whose denominators were cleared first, so
+  every division is exact and a Fraction appears only in the output. `det`
+  and `independent_rows` clear below the pivots only; `inverse` and `solve`
+  clear above them too (Gauss-Jordan). An entry outside Q, such as a
+  CyclotomicNumber, is a TypeError.
 
 `preimage_lattice` uses both: the HNF of the scaled rows, then its inverse.
 
@@ -159,88 +162,95 @@ def preimage_lattice(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
 
 
 # ---------------------------------------------------------------------------
-# field elimination
+# fraction-free elimination over Q
 
 
-_ONE = Fraction(1)
+def _eliminate(mat, ncols: int, above: bool = True):
+    """Fraction-free (Bareiss) elimination on the first ncols columns of the
+    rational rows of mat, carrying any trailing columns along; returns
+    (integer rows, pivot columns, d).
 
-
-def _eliminate(a: list[list], ncols: int, above: bool = True):
-    """Gaussian elimination in place on the first ncols columns of the rows
-    of a, carrying any trailing columns along; returns (pivot columns, signed
-    pivot product).
-
-    Entries are ints, Fractions or CyclotomicNumbers; the one division, the
-    pivot inverse, is taken from a Fraction, so ints stay exact. The pivot
-    is the first nonzero entry at or below the current row; its row is
-    scaled to a leading 1 and its column is cleared below it, and above it
-    too when `above` is set (reduced row echelon form). For a square
-    nonsingular a the signed pivot product is its determinant.
+    Each row is first scaled by the lcm of its denominators (an entry outside
+    Q is a TypeError); d is the product of those multipliers, negated once
+    per row swap. The pivot is the first nonzero entry at or below the
+    current row. With pivot p after pivot q, every other row x becomes
+    (p*x - x[c]*pivot row)/q: below the pivot only, or above it too when
+    `above` is set (Gauss-Jordan). Entries stay minors of the scaled rows, so
+    the division is exact (Sylvester's identity), and every pivot entry ends
+    equal to the last pivot: for a square nonsingular mat, det = last pivot/d.
     """
+    a = []
+    d = 1
+    for row in mat:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"linalg eliminates over Q only, got a {type(x).__name__} entry")
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+        d *= den
     m = len(a)
     pivots = []
-    pivot_prod = _ONE
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            pivot_prod = -pivot_prod
+            d = -d
         row = a[r]
         p = row[c]
-        pivot_prod = pivot_prod * p
-        inv = _ONE / p
-        # rows from r on are zero left of c: only the nonzero tail matters
-        tail = [(j, row[j] * inv) for j in range(c, len(row)) if row[j] != 0]
-        for j, y in tail:
-            row[j] = y
         for i in range(0 if above else r + 1, m):
-            ai = a[i]
-            f = ai[c]
-            if i != r and f != 0:
-                for j, y in tail:
-                    ai[j] -= f * y
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
         pivots.append(c)
+        prev = p
         r += 1
-    return pivots, pivot_prod
+    return a, pivots, d
 
 
 def independent_rows(mat) -> list[int]:
     """Indices of the greedy-first rows of mat that form a basis of its row
     span: the pivot columns of the transpose."""
-    pivots, _ = _eliminate(transpose(mat), len(mat), above=False)
-    return pivots
+    return _eliminate(transpose(mat), len(mat), above=False)[1]
 
 
 def det(mat) -> Fraction:
-    a = [list(row) for row in mat]
-    pivots, d = _eliminate(a, len(a), above=False)
-    return d if len(pivots) == len(a) else Fraction(0)
-
-
-def inverse(mat) -> list[list]:
     n = len(mat)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    if len(_eliminate(a, n)[0]) < n:
+    a, pivots, d = _eliminate(mat, n, above=False)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(a[n - 1][n - 1] if n else 1, d)
+
+
+def inverse(mat) -> list[list[Fraction]]:
+    n = len(mat)
+    a, pivots, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in a]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(a)]
 
 
-def solve(mat, rhs) -> list:
+def solve(mat, rhs) -> list[Fraction]:
     """The x with mat @ x = rhs, where mat (m x n, m >= n) has full column
     rank; raises ValueError if the rank is short or the system inconsistent.
-    Entries may be Fractions or CyclotomicNumbers."""
+    Entries are ints or Fractions."""
     n = len(mat[0])
-    a = [list(row) + [b] for row, b in zip(mat, rhs, strict=True)]
-    if len(_eliminate(a, n)[0]) < n:
+    a, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(mat, rhs, strict=True)], n)
+    if len(pivots) < n:
         raise ValueError("matrix does not have full column rank")
-    if any(row[n] != 0 for row in a[n:]):
+    if any(row[n] for row in a[n:]):
         raise ValueError("inconsistent overdetermined system")
-    return [row[n] for row in a[:n]]
+    return [Fraction(row[n], row[i]) for i, row in enumerate(a[:n])]
 
 
 # ---------------------------------------------------------------------------

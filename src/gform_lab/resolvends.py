@@ -21,8 +21,7 @@ from .group_ring import (
     GroupRingElement,
     NotInvertible,
     fourier,
-    invert_by_linear_solve,
-    regular_representation_determinant,
+    try_invert,
 )
 from .groups import FiniteAbelianGroup, GroupElement
 from .number_fields import HomToG, compose_fields
@@ -109,22 +108,16 @@ def resolvend(a: AlgebraElement) -> GroupRingElement:
     return GroupRingElement(G, coeffs)
 
 
-def _invertible(r: GroupRingElement) -> bool:
-    if r.group.order <= 6:
-        det = regular_representation_determinant(r)
-        return not (det.is_zero() if hasattr(det, "is_zero") else det == 0)
-    try:
-        invert_by_linear_solve(r)
-        return True
-    except NotInvertible:
-        return False
-
-
 def is_normal_basis_generator(a: AlgebraElement) -> bool:
     """Whether the algebra is generated by a over the rational group ring,
-    i.e. the resolvend is invertible (all character resolvents nonzero);
-    decided by a division-free regular-representation determinant."""
-    return _invertible(resolvend(a))
+    i.e. the resolvend r(a) is invertible (all character resolvents nonzero).
+    Decided on the trace table T(a) = r(a) r(a)^[-1] (`_trace_table`), a
+    rational group-ring element that is invertible exactly when r(a) is."""
+    try:
+        try_invert(_trace_table(a, a))
+    except NotInvertible:
+        return False
+    return True
 
 
 def _trace_table(a: AlgebraElement, b: AlgebraElement) -> GroupRingElement:
@@ -170,10 +163,16 @@ def _with_resolvend(hom: HomToG, r: GroupRingElement) -> AlgebraElement:
 
 def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
     """The element of the inverse-identified algebra whose resolvend is the
-    inverse of the resolvend of a; verified by an exact product."""
+    inverse of the resolvend r(a). By the pairing identity r(a) r(a)^[-1] is
+    the rational trace table T(a), so r(a)^-1 = r(a)^[-1] T(a)^-1 and only T
+    is inverted, in QG; the product with r(a) is verified to be 1. Raises
+    NotInvertible when r(a), equivalently T(a), is not invertible."""
     if a.is_split:
         return a
-    r_inv = invert_by_linear_solve(resolvend(a))  # stays at the field level
+    r = resolvend(a)
+    r_inv = r.involute() * try_invert(_trace_table(a, a))
+    if not (r * r_inv == GroupRingElement.one(a.group)):
+        raise ArithmeticError("resolvend inverse verification failed")
     return _with_resolvend(a.hom.inverse_hom(), r_inv)
 
 

@@ -1,12 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form
 
 from gform_lab import linalg
+from gform_lab.cyclotomic import CyclotomicNumber
 
 
 def test_xgcd():
@@ -178,20 +181,83 @@ def test_hnf_matches_sympy():
         assert linalg.hnf(rows) == [r for r in expected if any(r)]
 
 
+F = Fraction
+
+# zero pivots that force one or two row swaps (which fix the sign of det),
+# large coprime denominators and rank deficiency
+EDGE_SQUARE = [
+    [[0, 1], [1, 0]],
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    [[1, 2, 3], [2, 4, 7], [1, 3, 2]],
+    [[0, 2, 1, 4], [0, 0, 3, 1], [5, 1, 0, 0], [0, 0, 0, 7]],
+    [[F(1, 7), F(2, 9)], [F(3, 11), F(5, 13)]],
+    [[0, F(1, 97), F(2, 3)], [F(5, 89), 0, F(1, 2)], [0, F(3, 83), F(7, 5)]],
+    [[1, 2, 3], [2, 4, 6], [0, 0, 0]],
+    [[0, 0], [0, 3]],
+    [[F(1, 2), F(1, 3)], [F(3, 2), 1]],
+]
+
+# (mat, rhs): tall, square and rank-deficient systems with zero pivots
+EDGE_SYSTEMS = [
+    ([[0, 1], [0, 2], [3, 0]], [5, 10, 6]),
+    ([[0, 1], [0, 2], [3, 0]], [5, 11, 6]),
+    ([[0, 0, 2], [0, 5, 1], [F(1, 3), 0, 0], [1, 1, 1]], [4, 7, 1, F(13, 2)]),
+    ([[F(1, 6), F(1, 10)], [F(1, 15), F(1, 21)]], [1, F(1, 35)]),
+    ([[0, 1], [0, 3]], [1, 3]),
+    ([[1, 2], [2, 4], [3, 6]], [1, 2, 3]),
+    ([[F(2, 7)]], [F(3, 11)]),
+]
+
+# (mat, greedy-first basis): wide, zero leading columns, dependent rows
+EDGE_ROWS = [
+    ([[0, 0, 0], [0, 0, 5], [0, 2, 1], [0, 4, 7], [1, 0, 0]], [1, 2, 4]),
+    ([[0, 3, 0, 1], [0, 6, 0, 2], [F(1, 9), 0, 0, 0]], [0, 2]),
+    ([[F(1, 2), F(1, 3), F(1, 5)], [F(3, 2), 1, F(3, 5)], [0, 0, F(1, 7)]], [0, 2]),
+    ([[0, 0]], []),
+]
+
+
+def _check_det_and_inverse(M):
+    n = len(M)
+    S = _sympy_matrix(M)
+    d = linalg.det(M)
+    assert isinstance(d, Fraction)
+    assert d == _from_sympy(S.det())
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.inverse(M)
+    else:
+        inv = linalg.inverse(M)
+        assert inv == [[_from_sympy(x) for x in S.inv().row(i)] for i in range(n)]
+
+
 def test_det_and_inverse_match_sympy():
     rng = random.Random(12)
     for trial in range(120):
         n = rng.randint(1, 5)
-        M = _rand_matrix(rng, n, n, rank_deficient=trial % 3 == 0)
-        S = _sympy_matrix(M)
-        d = linalg.det(M)
-        assert d == _from_sympy(S.det())
-        if d == 0:
-            with pytest.raises(ZeroDivisionError):
-                linalg.inverse(M)
-        else:
-            inv = linalg.inverse(M)
-            assert inv == [[_from_sympy(x) for x in S.inv().row(i)] for i in range(n)]
+        _check_det_and_inverse(_rand_matrix(rng, n, n, rank_deficient=trial % 3 == 0))
+    for M in EDGE_SQUARE:
+        _check_det_and_inverse(M)
+
+
+def _check_solve(M, rhs, kinds):
+    n = len(M[0])
+    S = _sympy_matrix(M)
+    if S.rank() < n:
+        kinds["rank"] += 1
+        with pytest.raises(ValueError):
+            linalg.solve(M, rhs)
+    elif S.row_join(_sympy_matrix([[b] for b in rhs])).rank() > n:
+        kinds["inconsistent"] += 1
+        with pytest.raises(ValueError):
+            linalg.solve(M, rhs)
+    else:
+        kinds["unique"] += 1
+        x = linalg.solve(M, rhs)
+        assert linalg.mat_vec(M, x) == rhs
+        sol, _params = S.gauss_jordan_solve(_sympy_matrix([[b] for b in rhs]))
+        assert x == [_from_sympy(v) for v in sol]
 
 
 def test_solve_matches_sympy():
@@ -201,26 +267,22 @@ def test_solve_matches_sympy():
         n = rng.randint(1, 4)
         m = n + rng.randint(0, 3)
         M = _rand_matrix(rng, m, n, rank_deficient=trial % 3 == 0)
-        S = _sympy_matrix(M)
         if trial % 2:
             rhs = linalg.mat_vec(M, [_rand_fraction(rng) for _ in range(n)])
         else:
             rhs = [_rand_fraction(rng) for _ in range(m)]
-        if S.rank() < n:
-            kinds["rank"] += 1
-            with pytest.raises(ValueError):
-                linalg.solve(M, rhs)
-        elif S.row_join(_sympy_matrix([[b] for b in rhs])).rank() > n:
-            kinds["inconsistent"] += 1
-            with pytest.raises(ValueError):
-                linalg.solve(M, rhs)
-        else:
-            kinds["unique"] += 1
-            x = linalg.solve(M, rhs)
-            assert linalg.mat_vec(M, x) == rhs
-            sol, _params = S.gauss_jordan_solve(_sympy_matrix([[b] for b in rhs]))
-            assert x == [_from_sympy(v) for v in sol]
+        _check_solve(M, rhs, kinds)
     assert all(kinds.values()), kinds
+    edge = dict.fromkeys(kinds, 0)
+    for M, rhs in EDGE_SYSTEMS:
+        _check_solve(M, rhs, edge)
+    assert all(edge.values()), edge
+
+
+def _check_independent_rows(M, expected):
+    assert linalg.independent_rows(M) == expected
+    if len(expected) == len(M[0]):
+        assert linalg.det([M[i] for i in expected]) != 0
 
 
 def test_independent_rows_are_the_greedy_first_basis():
@@ -235,6 +297,52 @@ def test_independent_rows_are_the_greedy_first_basis():
             if _sympy_matrix([M[j] for j in expected + [i]]).rank() > rank:
                 expected.append(i)
                 rank += 1
-        assert linalg.independent_rows(M) == expected
-        if len(expected) == n:
-            assert linalg.det([M[i] for i in expected]) != 0
+        _check_independent_rows(M, expected)
+    for M, expected in EDGE_ROWS:
+        _check_independent_rows(M, expected)
+
+
+def test_elimination_rejects_entries_outside_q():
+    # a cyclotomic entry is refused with one line, never eliminated as if it
+    # were a field element
+    z = CyclotomicNumber.zeta(7)
+    for call in (lambda: linalg.det([[1, z], [0, 1]]),
+                 lambda: linalg.solve([[z, 0], [0, 1]], [1, 1]),
+                 lambda: linalg.solve([[1, 0], [0, 1]], [z, 1])):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert "\n" not in str(exc.value)
+        assert "CyclotomicNumber" in str(exc.value)
+
+
+@st.composite
+def small_definite_forms(draw):
+    """B^T B + diag(d) for small integer B and d >= 0, kept when positive
+    definite."""
+    n = draw(st.integers(2, 4))
+    B = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    d = [draw(st.integers(0, 2)) for _ in range(n)]
+    gram = [[sum(row[i] * row[j] for row in B) + (d[i] if i == j else 0) for j in range(n)]
+            for i in range(n)]
+    try:
+        linalg.ldl(gram)
+    except ValueError:
+        assume(False)
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram=small_definite_forms(), target=st.integers(1, 9))
+def test_quadratic_solutions_match_box_enumeration(gram, target):
+    # on v^T gram v <= t, |v_i| <= sqrt(t * (gram^-1)_ii) (Cauchy-Schwarz for
+    # the form), so that box holds every solution; sympy gives gram^-1
+    n = len(gram)
+    inv = sympy.Matrix(gram).inv()
+    bounds = [isqrt(int(sympy.floor(target * inv[i, i]))) for i in range(n)]
+    assume(prod(2 * b + 1 for b in bounds) <= 20000)
+    expected = set()
+    for v in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        if sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)) == target:
+            lead = next(x for x in v if x)
+            expected.add(v if lead > 0 else tuple(-x for x in v))
+    assert set(linalg.quadratic_solutions(gram, target)) == expected

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gform_lab.arith import euler_phi, moebius
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
@@ -234,3 +235,35 @@ def test_degree_seven_square_root_of_the_inverse_different():
     from gform_lab import linalg
 
     assert linalg.det(trace_gram(K, A.basis_elements())) == 1
+
+
+@pytest.mark.parametrize("p, f", [(3, 7), (3, 13), (5, 11), (3, 91)])
+def test_period_minimal_polynomial_matches_sympy(p, f):
+    # prod_i (x - sigma^i(eta_0)) computed on period coordinates: 1 is
+    # mu(f) * (eta_0 + ... + eta_{p-1}), and multiplication by eta_t is row
+    # t of the multiplication matrix; every coefficient must come out rational
+    import sympy
+
+    K = build_field(p, f)
+    mu = moebius(f)
+    conjugates = [K.coordinates(K.sigma(K.periods[0], i)) for i in range(p)]
+    poly = [[mu] * p]  # ascending powers of x
+    for eta in conjugates:
+        shifted = [[0] * p] + poly
+        for k, c in enumerate(poly):
+            times_eta = [sum(e * row[j] for e, row in zip(eta, K.multiplication_matrix(c)))
+                         for j in range(p)]
+            shifted[k] = [x - y for x, y in zip(shifted[k], times_eta)]
+        poly = shifted
+    assert all(len(set(c)) == 1 for c in poly)
+    ours = [mu * c[0] for c in reversed(poly)]
+
+    # sympy: the norm Res_y(Phi_f(y), x - eta_0(y)) of x - eta_0 down from
+    # Q(zeta_f) is the minimal polynomial to the power phi(f)/p
+    x, y = sympy.symbols("x y")
+    eta0 = sum(y**k for k in sorted(K.subgroup))
+    norm = sympy.resultant(sympy.cyclotomic_poly(f, y), x - eta0, y)
+    _, factors = sympy.factor_list(norm)
+    assert [e for _, e in factors] == [euler_phi(f) // p]
+    expected = sympy.Poly(factors[0][0], x).all_coeffs()
+    assert ours == [int(c) for c in expected]

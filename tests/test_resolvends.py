@@ -7,6 +7,7 @@ from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.group_ring import (
     GroupRingElement,
     NotInvertible,
+    fourier,
     invert_by_linear_solve,
     try_invert,
 )
@@ -277,3 +278,50 @@ def test_linear_solve_inverts_a_cyclotomic_resolvend():
     singular = resolvend(AlgebraElement(hom, K.element([1, 1, 1])))
     with pytest.raises(NotInvertible):
         invert_by_linear_solve(singular)
+
+
+def _differential_elements(K, rng):
+    """Zero, constants (killed by every nontrivial character), trace-zero
+    elements (killed by the trivial one) and random elements of K."""
+    f, p = K.conductor, K.degree
+    out = [CyclotomicNumber.rational(c, f) for c in (0, 1, -3)]
+    out.append(K.periods[0] - K.periods[1])
+    for _ in range(4):
+        coords = [rng.randint(-3, 3) for _ in range(p)]
+        out.append(K.element(coords))
+        coords[-1] -= sum(coords)
+        out.append(K.element(coords))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, f, per_character_inverse",
+    [(3, 7, True), (3, 13, True), (3, 19, True), (5, 11, True), (7, 29, False)],
+)
+def test_trace_table_route_matches_the_character_route(p, f, per_character_inverse, monkeypatch):
+    # C7 at conductor 29 has Fourier values at level 203, above the default cap
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "203")
+    K = build_field(p, f)
+    hom = HomToG.standard(K)
+    rng = random.Random(f)
+    kinds = set()
+    for alpha in _differential_elements(K, rng):
+        a = AlgebraElement(hom, alpha)
+        r = resolvend(a)
+        values = fourier(r).values
+        nbg = is_normal_basis_generator(a)
+        assert nbg == all(not v.is_zero() for v in values.values())
+        kinds.add(nbg)
+        if not nbg:
+            with pytest.raises(NotInvertible):
+                inverse_resolvend(a)
+            with pytest.raises(NotInvertible):
+                try_invert(r)
+        elif per_character_inverse:
+            assert resolvend(inverse_resolvend(a)) == try_invert(r)
+        else:
+            # a level-203 inverse takes about a second, so check the
+            # per-character identity that try_invert solves instead
+            inverse_values = fourier(resolvend(inverse_resolvend(a))).values
+            assert all((values[chi] * inverse_values[chi]).is_one() for chi in values)
+    assert kinds == {True, False}
