@@ -40,9 +40,9 @@ class NotInvertible(ArithmeticError):
 
 
 def _coeff(c):
-    if isinstance(c, CyclotomicNumber):
+    if isinstance(c, (CyclotomicNumber, Fraction)):
         return c
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 

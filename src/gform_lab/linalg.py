@@ -18,7 +18,9 @@ elimination, both on integer rows:
 `preimage_lattice` uses both: the HNF of the scaled rows, then its inverse.
 
 `quadratic_solutions` enumerates the vectors of a given length over an exact
-LDL decomposition.
+LDL decomposition (Fincke-Pohst). The walk itself runs on integers: the
+rows of R and the level weights are scaled to integers once, so every
+coordinate window is exact and no Fraction is built per node.
 """
 
 from __future__ import annotations
@@ -276,43 +278,47 @@ def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, r
 
 
-def _sqrt_floor(x: Fraction) -> int:
-    if x < 0:
-        return -1
-    return isqrt(x.numerator // x.denominator)
-
-
 def quadratic_solutions(gram, target) -> list[tuple[int, ...]]:
     """All nonzero integer vectors v with v^T gram v == target, up to sign.
 
     Representatives are normalized so the first nonzero coordinate is
     positive, and returned sorted descending-lexicographically. Exact
-    Fincke-Pohst style enumeration over the LDL decomposition.
+    Fincke-Pohst enumeration over the LDL decomposition, on integers.
+
+    With Q = R^T D R, v^T Q v = sum_i d_i (v_i + sum_{j>i} r_ij v_j)^2. Row i
+    of R is written over one denominator D_i, as integers n_ij with
+    n_ii = D_i, so level i contributes (d_i / D_i^2) x_i^2 with the integer
+    x_i = sum_{j>=i} n_ij v_j. Scaling every weight d_i / D_i^2 and the target
+    by the lcm L of their denominators makes them integers w_i and t, and
+    w_i x_i^2 <= rem holds exactly when |x_i| <= isqrt(rem // w_i).
     """
     n = len(gram)
-    t = Fraction(target)
     d, r = ldl(gram)
+    dens = [lcm(*(x.denominator for x in row)) for row in r]
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row, den in zip(r, dens)]
+    weights = [di / (den * den) for di, den in zip(d, dens)]
+    q = Fraction(target)
+    scale = lcm(q.denominator, *(w.denominator for w in weights))
+    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    t = q.numerator * (scale // q.denominator)
+    if t < 0:
+        return []
     sols = []
     v = [0] * n
 
-    def recurse(i: int, rem: Fraction):
+    def recurse(i: int, rem: int):
         if i < 0:
             if rem == 0 and any(v):
                 sols.append(tuple(v))
             return
-        c = sum(r[i][j] * v[j] for j in range(i + 1, n))
-        bound = rem / d[i]
-        # integer window for (v_i + c)^2 <= bound
-        s = _sqrt_floor(bound)
-        base = -c
-        lo = int(base) - s - 2
-        hi = int(base) + s + 2
-        for vi in range(lo, hi + 1):
-            w = vi + c
-            term = d[i] * w * w
-            if term <= rem:
-                v[i] = vi
-                recurse(i - 1, rem - term)
+        row, den, w = rows[i], dens[i], weights[i]
+        c = sum(row[j] * v[j] for j in range(i + 1, n))
+        # den * v_i + c must lie in [-s, s]
+        s = isqrt(rem // w)
+        for vi in range(-((s + c) // den), (s - c) // den + 1):
+            x = den * vi + c
+            v[i] = vi
+            recurse(i - 1, rem - w * x * x)
         v[i] = 0
 
     recurse(n - 1, t)

@@ -91,32 +91,26 @@ class PeriodField:
     def _init_tables(self):
         p, f = self.degree, self.conductor
         mu = moebius(f)
-        table = []
+        # the trace of every period is mu(f); each product feeds both the
+        # multiplication table and the trace Gram, and is formed once
+        self.trace_of_period = mu
+        table = [[None] * p for _ in range(p)]
+        gram = [[None] * p for _ in range(p)]
         for i in range(p):
-            row = []
-            for j in range(p):
+            for j in range(i, p):
                 prod = self.periods[i] * self.periods[j]
                 coords = self.coordinates(prod)
                 if any(c.denominator != 1 for c in coords):
                     raise FieldConstructionError(
                         "period products leave the period lattice; order not maximal"
                     )
-                row.append(tuple(int(c) for c in coords))
-            table.append(tuple(row))
-        self.mult_table = tuple(table)
-
-        # trace of every period is mu(f); Gram via the cyclotomic trace
-        self.trace_of_period = mu
-        gram = []
-        for i in range(p):
-            row = []
-            for j in range(p):
-                t = self.trace(self.periods[i] * self.periods[j])
+                t = self.trace(prod)
                 if t.denominator != 1:
                     raise FieldConstructionError("trace Gram is not integral")
-                row.append(int(t))
-            gram.append(tuple(row))
-        self.gram = tuple(gram)
+                table[i][j] = table[j][i] = tuple(int(c) for c in coords)
+                gram[i][j] = gram[j][i] = int(t)
+        self.mult_table = tuple(tuple(row) for row in table)
+        self.gram = tuple(tuple(row) for row in gram)
         # cross-check the Gram against the integer route through the tables
         for i in range(p):
             for j in range(p):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gform_lab.arith import euler_phi
 
@@ -197,15 +197,62 @@ def assert_canonical(x):
     assert gcd(x.den, *x.num) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(pair=same_level_pair())
+# -- draws on both sides of the Kronecker crossover, up to 2^200 in size ------
+
+# phi = 6, 6, 12, 30, 72, 198: levels 7 and 9 always take the schoolbook
+# loop; above them dense operands take Kronecker substitution and sparse
+# ones (zero, single-term) the schoolbook loop
+PRODUCT_LEVELS = [7, 9, 13, 31, 91, 199]
+COEFF_RANGES = {
+    "unit": 1,  # in [-1, 1]
+    "small": 9,
+    "wide": 2**70,  # above 2^64
+    "huge": 2**200,
+}
+
+
+@st.composite
+def numerator_vector(draw, phi, kind):
+    if kind == "zero":
+        return [0] * phi
+    if kind == "single":
+        v = [0] * phi
+        v[draw(st.integers(0, phi - 1))] = draw(st.integers(-2**70, 2**70).filter(bool))
+        return v
+    bound = COEFF_RANGES[kind]
+    return draw(st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi))
+
+
+@st.composite
+def product_operands(draw):
+    """Two values at one level; a skewed pair has one operand of about 2^200
+    and the other with coefficients in [-1, 1], in either order."""
+    n = draw(st.sampled_from(PRODUCT_LEVELS))
+    phi = euler_phi(n)
+    kinds = ["zero", "single", "unit", "small", "wide", "huge"]
+    if draw(st.booleans()):
+        pair = draw(st.permutations(["huge", "unit"]))
+    else:
+        pair = [draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))]
+    a, b = (draw(numerator_vector(phi, kind)) for kind in pair)
+    da, db = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return (CyclotomicNumber(n, [Fraction(c, da) for c in a]),
+            CyclotomicNumber(n, [Fraction(c, db) for c in b]))
+
+
+def from_sympy_poly(poly, n):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (euler_phi(n) - len(coeffs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(same_level_pair(), product_operands()))
 def test_product_matches_sympy_remainder(pair):
     a, b = pair
     n = a.level
-    rem = sympy.rem(to_sympy(a) * to_sympy(b), phi_poly(n))
-    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
-    expected += [Fraction(0)] * (euler_phi(n) - len(expected))
-    assert (a * b).coeffs == tuple(expected)
+    got = a * b
+    assert got.coeffs == from_sympy_poly(sympy.rem(to_sympy(a) * to_sympy(b), phi_poly(n)), n)
+    assert_canonical(got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,3 +329,16 @@ def test_scalar_division_takes_no_inverse_of_the_scalar(monkeypatch):
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             x / zero
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), n=st.sampled_from([91, 105]))
+def test_inverse_matches_sympy_invert(data, n):
+    # sympy's extended Euclid takes seconds on dense level-91 values with
+    # coefficients up to 9, so those are drawn at level 105 only
+    phi = euler_phi(n)
+    kind = data.draw(st.sampled_from(["single", "unit"] + (["small"] if n == 105 else [])))
+    a = CyclotomicNumber(n, data.draw(numerator_vector(phi, kind)))
+    assume(not a.is_zero())
+    expected = from_sympy_poly(sympy.invert(to_sympy(a), phi_poly(n)), n)
+    assert a.inverse().coeffs == expected

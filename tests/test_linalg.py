@@ -138,6 +138,9 @@ def test_quadratic_solutions_nontrivial():
     sols = linalg.quadratic_solutions(gram, 2)
     assert (1, 0) in sols and (0, 1) in sols and (1, -1) in sols
     assert len(sols) == 3
+    # no nonzero vector has length 0, and none has negative length
+    assert linalg.quadratic_solutions(gram, 0) == []
+    assert linalg.quadratic_solutions(gram, -1) == []
 
 
 # -- differential checks of the two elimination cores against sympy ---------
@@ -332,10 +335,12 @@ def small_definite_forms(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(gram=small_definite_forms(), target=st.integers(1, 9))
-def test_quadratic_solutions_match_box_enumeration(gram, target):
+@given(gram=small_definite_forms(), target=st.integers(1, 9), k=st.integers(1, 3))
+def test_quadratic_solutions_match_box_enumeration(gram, target, k):
     # on v^T gram v <= t, |v_i| <= sqrt(t * (gram^-1)_ii) (Cauchy-Schwarz for
-    # the form), so that box holds every solution; sympy gives gram^-1
+    # the form), so that box holds every solution; sympy gives gram^-1.
+    # Dividing the form and the target by k keeps the solutions and puts a
+    # denominator into the enumeration's weights.
     n = len(gram)
     inv = sympy.Matrix(gram).inv()
     bounds = [isqrt(int(sympy.floor(target * inv[i, i]))) for i in range(n)]
@@ -345,4 +350,5 @@ def test_quadratic_solutions_match_box_enumeration(gram, target):
         if sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)) == target:
             lead = next(x for x in v if x)
             expected.add(v if lead > 0 else tuple(-x for x in v))
-    assert set(linalg.quadratic_solutions(gram, target)) == expected
+    scaled = [[Fraction(x, k) for x in row] for row in gram]
+    assert set(linalg.quadratic_solutions(scaled, Fraction(target, k))) == expected
