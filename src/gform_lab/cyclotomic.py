@@ -358,9 +358,16 @@ class CyclotomicNumber:
         if self.is_rational():
             return CyclotomicNumber.rational(Fraction(self.den, self.num[0]), self.level)
         n = self.level
-        conj = _balanced_product([self.galois(k) for k in range(2, n) if gcd(k, n) == 1])
-        norm = (conj * self).to_rational()
-        result = conj * (Fraction(1) / norm)
+        if self.num.count(0) == len(self.num) - 1:
+            # (c/den) zeta^k has the inverse (den/c) zeta^(n-k)
+            k, c = next((k, c) for k, c in enumerate(self.num) if c)
+            raw = [0] * n
+            raw[n - k] = self.den if c > 0 else -self.den
+            result = CyclotomicNumber.from_powers(n, raw, abs(c))
+        else:
+            conj = _balanced_product([self.galois(k) for k in range(2, n) if gcd(k, n) == 1])
+            norm = (conj * self).to_rational()
+            result = conj * (Fraction(1) / norm)
         if not (result * self).is_one():
             raise ArithmeticError("inverse verification failed")
         return result

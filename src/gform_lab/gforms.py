@@ -74,19 +74,18 @@ class GForm:
         elems = self.group.elements()
         if set(self.actions) != set(elems):
             raise ValueError("need one action matrix per group element")
-        gram = [list(r) for r in self.gram]
+        # M G M^T = G on integers: the Gram's numerators over their lcm
+        den = lcm(*(x.denominator for row in self.gram for x in row))
+        gram = [[int(x * den) for x in row] for row in self.gram]
         for s, m in self.actions.items():
-            mg = linalg.mat_mul([list(r) for r in m], gram)
-            mgmt = linalg.mat_mul(mg, linalg.transpose([list(r) for r in m]))
-            if not linalg.mat_eq(mgmt, gram):
+            mg = linalg.mat_mul(m, gram)
+            if not linalg.mat_eq(linalg.mat_mul(mg, linalg.transpose(m)), gram):
                 raise ValueError(f"form is not invariant under {s}")
         # the action matrices must represent the group
         for s in elems:
             for t in elems:
-                prod = linalg.mat_mul(
-                    [list(r) for r in self.actions[s]], [list(r) for r in self.actions[t]]
-                )
-                if not linalg.mat_eq(prod, [list(r) for r in self.actions[s * t]]):
+                prod = linalg.mat_mul(self.actions[s], self.actions[t])
+                if not linalg.mat_eq(prod, self.actions[s * t]):
                     raise ValueError("action matrices do not compose")
 
     def pair(self, v, w) -> Fraction:

@@ -13,13 +13,24 @@ disc = f^(p-1) rather than assumed.
 Ideals are stored as row-HNF integer matrices over the period basis with a
 single positive denominator, so equality of ideals is equality of canonical
 forms.
+
+Each field keeps one memo of its ideal layer, filled on first use and never
+shared between field objects: the prime P over each ramified ell, and the
+pair (different, A). Every ramified prime is tame and totally ramified, so
+Hilbert's formula is closed: P^p = ell*O, the different is prod P^(p-1), and
+A = prod P^(-(p-1)/2) = (1/f) prod P^((p+1)/2) needs no ideal inversion. The
+checks run once per field, when the memo is filled: each P has norm ell and
+P^p = ell*O; the different times the trace dual of O is O; and A*A is that
+trace dual. A failed check raises and leaves nothing in the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .arith import (
@@ -63,15 +74,18 @@ class PeriodField:
         self.periods = tuple(self._orbit_sum(c) for c in self.cosets)
         self._init_expansion()
         self._init_tables()
+        # the ideal layer, built and verified on first use: ell -> the prime
+        # over ell (`prime_above`), "hilbert" -> (different, A)
+        self._ideal_memo = {}
 
     # -- construction internals ------------------------------------------
 
     def _orbit_sum(self, coset_rep: int) -> CyclotomicNumber:
         f = self.conductor
-        acc = CyclotomicNumber.rational(0, f)
-        for k in sorted(self.subgroup):
-            acc = acc + CyclotomicNumber.zeta(f, coset_rep * k % f)
-        return acc
+        raw = [0] * f
+        for k in self.subgroup:
+            raw[coset_rep * k % f] += 1
+        return CyclotomicNumber.from_powers(f, raw)
 
     def _init_expansion(self):
         # periods are sums of roots of unity, so their numerators over den 1
@@ -296,15 +310,15 @@ class FractionalIdeal:
         e = int(e)
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.maximal_order()
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return self.field.maximal_order() if result is None else result
 
     def inverse(self) -> "FractionalIdeal":
         """{x : x * I is contained in the maximal order}, computed exactly."""
@@ -338,10 +352,14 @@ def dual_lattice(lattice: FractionalIdeal) -> FractionalIdeal:
 
 def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
     """The unique (totally ramified) prime over a ramified prime ell, found as
-    the Frobenius kernel of the period order mod ell; total ramification is
-    re-verified by an exact ideal power."""
+    the Frobenius kernel of the period order mod ell; its norm and total
+    ramification are verified by exact ideal arithmetic. Computed once per
+    field: later calls return the same ideal."""
     if ell not in field.ramified_primes:
         raise ValueError(f"{ell} is not ramified in this field")
+    memo = field._ideal_memo
+    if ell in memo:
+        return memo[ell]
     p = field.degree
 
     def mul_mod(v, w):
@@ -380,35 +398,49 @@ def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
     ell_ideal = FractionalIdeal(field, [[ell * int(i == j) for j in range(p)] for i in range(p)], 1)
     if ideal**p != ell_ideal:
         raise ArithmeticError(f"{ell} is not totally ramified; wrong Frobenius kernel")
+    memo[ell] = ideal
     return ideal
+
+
+def _hilbert_ideals(field: PeriodField) -> tuple[FractionalIdeal, FractionalIdeal]:
+    """(different, A) of the field, built from the ramified primes and
+    verified against the trace dual of the maximal order once per field.
+
+    Every ramified prime P over ell is tame and totally ramified, so P^p is
+    ell*O and Hilbert's formula gives d = prod P^(p-1). Its square root of the
+    inverse, with exponents -(p-1)/2, is prod P^(-(p-1)/2) = (1/f) prod
+    P^((p+1)/2) in closed form. Both are checked against dual(O) = d^-1:
+    d * dual(O) == O and A * A == dual(O). A failed check raises and leaves
+    nothing in the memo."""
+    memo = field._ideal_memo
+    if "hilbert" not in memo:
+        p, f = field.degree, field.conductor
+        O = field.maximal_order()
+        primes = [prime_above(field, ell) for ell in field.ramified_primes]
+        d = reduce(mul, [P ** (p - 1) for P in primes])
+        upper = reduce(mul, [P ** ((p + 1) // 2) for P in primes])
+        A = FractionalIdeal(field, upper.num, f * upper.den)
+        inverse_different = dual_lattice(O)
+        if d * inverse_different != O:
+            raise ArithmeticError("Hilbert-formula different disagrees with the trace dual")
+        if A * A != inverse_different:
+            raise ArithmeticError("square of the candidate is not the inverse different")
+        memo["hilbert"] = (d, A)
+    return memo["hilbert"]
 
 
 def different(field: PeriodField) -> FractionalIdeal:
     """Product of the ramified primes to the (p-1): tame Hilbert exponents.
-    Cross-checked against the dual-lattice characterization: the inverse of
-    the different is the trace-dual of the maximal order."""
-    p = field.degree
-    d = field.maximal_order()
-    for ell in field.ramified_primes:
-        d = d * prime_above(field, ell) ** (p - 1)
-    oracle = dual_lattice(field.maximal_order())
-    if d.inverse() != oracle:
-        raise ArithmeticError("Hilbert-formula different disagrees with the trace dual")
-    return d
+    Cross-checked against the dual-lattice characterization: the different
+    times the trace-dual of the maximal order is the maximal order."""
+    return _hilbert_ideals(field)[0]
 
 
 def sqrt_inverse_different(field: PeriodField) -> FractionalIdeal:
     """The ideal A with A^2 equal to the inverse different (exponents
-    -(p-1)/2 at each ramified prime); the square is verified exactly."""
-    p = field.degree
-    half = (p - 1) // 2
-    pos = field.maximal_order()
-    for ell in field.ramified_primes:
-        pos = pos * prime_above(field, ell) ** half
-    A = pos.inverse()
-    if A * A != different(field).inverse():
-        raise ArithmeticError("square of the candidate is not the inverse different")
-    return A
+    -(p-1)/2 at each ramified prime); the square is verified exactly against
+    the trace-dual of the maximal order."""
+    return _hilbert_ideals(field)[1]
 
 
 def trace_gram(field: PeriodField, elements) -> list[list[Fraction]]:

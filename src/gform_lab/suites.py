@@ -204,7 +204,7 @@ def check_sqrt_inverse_different(config: SuiteConfig) -> tuple[str, dict]:
     for p, f in targets:
         K = build_field(p, f)
         d = different(K)  # internally checks Hilbert formula vs trace dual
-        A = sqrt_inverse_different(K)  # internally checks A*A = d^{-1}
+        A = sqrt_inverse_different(K)  # internally checks A*A = dual(O) = d^{-1}
         entry = {
             "disc": K.discriminant,
             "disc_expected": f ** (p - 1),

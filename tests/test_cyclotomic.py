@@ -342,3 +342,23 @@ def test_inverse_matches_sympy_invert(data, n):
     assume(not a.is_zero())
     expected = from_sympy_poly(sympy.invert(to_sympy(a), phi_poly(n)), n)
     assert a.inverse().coeffs == expected
+
+
+@pytest.mark.parametrize("n", [21, 57, 93])
+@pytest.mark.parametrize("c", [Fraction(-1), Fraction(5, 3), Fraction(-7, 4)], ids=str)
+def test_single_term_inverse_takes_no_conjugates(n, c, monkeypatch):
+    # (c/den) zeta^k inverts to (den/c) zeta^(n-k) without the conjugate
+    # product, for every power-basis index k, with the result still verified
+    import gform_lab.cyclotomic as cyclotomic
+
+    def no_product(factors):
+        raise AssertionError("a single-term value took the conjugate product")
+
+    monkeypatch.setattr(cyclotomic, "_balanced_product", no_product)
+    phi = euler_phi(n)
+    for k in sorted({1, 2, phi // 2, phi - 1}):
+        a = CyclotomicNumber(n, [c if j == k else 0 for j in range(phi)])
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert (inv * a).is_one()
+        assert inv.coeffs == from_sympy_poly(sympy.invert(to_sympy(a), phi_poly(n)), n)

@@ -224,3 +224,24 @@ def test_isometry_rank_mismatch_detected():
     )
     assert isometry_equivalence(form, doubled) is IsometryResult.NOT_ISOMETRIC
     assert not bool(IsometryResult.INCONCLUSIVE)
+
+
+def test_invariance_is_decided_on_a_non_integral_gram(k7):
+    # a unimodular Gram scaled by 1/3 is no longer integral; invariance is
+    # checked on its numerators over their lcm and must not change verdict
+    from fractions import Fraction
+
+    form = gform_from_A(k7)
+    third = [[x * Fraction(1, 3) for x in row] for row in form.gram]
+    assert any(x.denominator == 3 for row in third for x in row)
+    scaled = GForm(C3, third, form.actions, label="A-form / 3")
+    assert scaled.gram == tuple(tuple(row) for row in third)
+    assert scaled.determinant() == Fraction(1, 27)
+    # the cyclic shift of period coordinates is a group action but does not
+    # preserve the A-basis Gram
+    shift = [[int(j == (i + 1) % 3) for j in range(3)] for i in range(3)]
+    actions = {C3.element((j,)): linalg.identity_matrix(3) for j in range(3)}
+    actions[C3.element((1,))] = shift
+    actions[C3.element((2,))] = linalg.mat_mul(shift, shift)
+    with pytest.raises(ValueError, match="not invariant"):
+        GForm(C3, third, actions)

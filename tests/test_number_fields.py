@@ -267,3 +267,71 @@ def test_period_minimal_polynomial_matches_sympy(p, f):
     assert [e for _, e in factors] == [euler_phi(f) // p]
     expected = sympy.Poly(factors[0][0], x).all_coeffs()
     assert ours == [int(c) for c in expected]
+
+
+# -- the per-field memo of the ideal layer ----------------------------------
+
+HILBERT_FIELDS = [(3, 7), (3, 91), (5, 11), (7, 29), (7, 43)]
+
+
+@pytest.mark.parametrize("p, f", HILBERT_FIELDS)
+def test_closed_form_ideals_match_the_inverse_route(p, f):
+    # the old route, through ideal inversion: A = (prod P^((p-1)/2))^-1 and
+    # the different is the ideal whose inverse is the trace dual of O
+    K = build_field(p, f)
+    primes = [prime_above(K, ell) for ell in K.ramified_primes]
+    half = K.maximal_order()
+    full = K.maximal_order()
+    for P in primes:
+        half = half * P ** ((p - 1) // 2)
+        full = full * P ** (p - 1)
+    assert sqrt_inverse_different(K) == half.inverse()
+    assert different(K) == full
+    assert full.inverse() == dual_lattice(K.maximal_order())
+    assert sqrt_inverse_different(K).den == f
+
+
+def test_ideal_layer_is_built_once_per_field(monkeypatch):
+    from gform_lab import linalg
+
+    kernels = []
+    original = linalg.integer_kernel
+
+    def spy(mat):
+        kernels.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(linalg, "integer_kernel", spy)
+    K = build_field(3, 91)
+    A = sqrt_inverse_different(K)
+    d = different(K)
+    assert sqrt_inverse_different(K) is A
+    assert different(K) is d
+    assert prime_above(K, 7) is prime_above(K, 7)
+    assert prime_above(K, 13) is prime_above(K, 13)
+    assert len(kernels) == 2  # one Frobenius kernel per ramified prime
+    # an equal field built separately has its own memo and recomputes
+    K2 = build_field(3, 91)
+    assert K2 == K and K2 is not K
+    A2 = sqrt_inverse_different(K2)
+    assert A2 == A and A2 is not A
+    assert prime_above(K2, 7) is not prime_above(K, 7)
+    assert len(kernels) == 4
+
+
+def test_failed_ideal_checks_store_nothing(monkeypatch):
+    import gform_lab.number_fields as nf
+
+    K = build_field(3, 13)
+    O = K.maximal_order()
+    wrong = FractionalIdeal(K, O.num, 2)  # (1/2) O is not the trace dual
+    monkeypatch.setattr(nf, "dual_lattice", lambda lattice: wrong)
+    # the different is checked against the trace dual before A is, and the
+    # second call raises again because the first stored nothing
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="different disagrees with the trace dual"):
+            different(K)
+        with pytest.raises(ArithmeticError, match="different disagrees with the trace dual"):
+            sqrt_inverse_different(K)
+    monkeypatch.undo()
+    assert sqrt_inverse_different(K) * sqrt_inverse_different(K) == dual_lattice(O)

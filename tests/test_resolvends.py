@@ -294,11 +294,8 @@ def _differential_elements(K, rng):
     return out
 
 
-@pytest.mark.parametrize(
-    "p, f, per_character_inverse",
-    [(3, 7, True), (3, 13, True), (3, 19, True), (5, 11, True), (7, 29, False)],
-)
-def test_trace_table_route_matches_the_character_route(p, f, per_character_inverse, monkeypatch):
+@pytest.mark.parametrize("p, f", [(3, 7), (3, 13), (3, 19), (5, 11), (7, 29)])
+def test_trace_table_route_matches_the_character_route(p, f, monkeypatch):
     # C7 at conductor 29 has Fourier values at level 203, above the default cap
     monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "203")
     K = build_field(p, f)
@@ -317,11 +314,6 @@ def test_trace_table_route_matches_the_character_route(p, f, per_character_inver
                 inverse_resolvend(a)
             with pytest.raises(NotInvertible):
                 try_invert(r)
-        elif per_character_inverse:
-            assert resolvend(inverse_resolvend(a)) == try_invert(r)
         else:
-            # a level-203 inverse takes about a second, so check the
-            # per-character identity that try_invert solves instead
-            inverse_values = fourier(resolvend(inverse_resolvend(a))).values
-            assert all((values[chi] * inverse_values[chi]).is_one() for chi in values)
+            assert resolvend(inverse_resolvend(a)) == try_invert(r)
     assert kinds == {True, False}
