@@ -138,38 +138,23 @@ def gform_from_A(field: PeriodField, hom: HomToG | None = None) -> GForm:
     A = sqrt_inverse_different(field)
     p = field.degree
     B = [list(r) for r in A.num]
-    den = A.den
-    gram = []
-    for i in range(p):
-        row = []
-        for j in range(p):
-            val = Fraction(
-                sum(B[i][t] * field.gram[t][u] * B[j][u] for t in range(p) for u in range(p)),
-                den * den,
-            )
-            if val.denominator != 1:
-                raise ArithmeticError("trace Gram of the A-basis is not integral")
-            row.append(int(val))
-        gram.append(row)
+    den2 = A.den * A.den
+    # the Gram of the basis B/den is B G B^T / den^2
+    num = linalg.mat_mul(linalg.mat_mul(B, field.gram), linalg.transpose(B))
+    if any(x % den2 for row in num for x in row):
+        raise ArithmeticError("trace Gram of the A-basis is not integral")
+    gram = [[x // den2 for x in row] for row in num]
     d = linalg.det(gram)
     if abs(d) != 1:
         raise ArithmeticError(f"A-form has determinant {d}, expected a unit")
-    # generator acts through the Galois power pinned by the identification
-    shift = [[int(j == (i + 1) % p) for j in range(p)] for i in range(p)]
+    # generator acts through the Galois power t pinned by the identification:
+    # B S^t B^-1, where row . S^t is sigma_coords(row, t)
     t = hom.galois_power(hom.group.element((1,)))
-    s_power = linalg.identity_matrix(p)
-    for _ in range(t):
-        s_power = linalg.mat_mul(s_power, shift)
-    binv = linalg.inverse(B)
-    m_gen_frac = linalg.mat_mul(linalg.mat_mul(B, s_power), binv)
-    m_gen = []
-    for row in m_gen_frac:
-        out = []
-        for c in row:
-            if c.denominator != 1:
-                raise ArithmeticError("Galois action does not stabilize the A-lattice")
-            out.append(int(c))
-        m_gen.append(out)
+    binv, bden = linalg.inverse(B)
+    moved = linalg.mat_mul([field.sigma_coords(row, t) for row in B], binv)
+    if any(x % bden for row in moved for x in row):
+        raise ArithmeticError("Galois action does not stabilize the A-lattice")
+    m_gen = [[x // bden for x in row] for row in moved]
     actions = {}
     acc = linalg.identity_matrix(p)
     for j in range(p):
@@ -183,7 +168,7 @@ def gform_from_A(field: PeriodField, hom: HomToG | None = None) -> GForm:
         field=field,
         hom=hom,
         basis_num=tuple(tuple(r) for r in A.num),
-        basis_den=den,
+        basis_den=A.den,
     )
 
 
@@ -243,13 +228,9 @@ def witness_element(form: GForm, witness: IsometryWitness) -> AlgebraElement:
     """Present a witness on an A-form as an element of the Galois algebra."""
     if form.field is None or form.hom is None:
         raise ValueError("form does not carry number-field provenance")
-    p = form.field.degree
-    period_coords = [
-        Fraction(sum(witness.coords[i] * form.basis_num[i][t] for i in range(p)), form.basis_den)
-        for t in range(p)
-    ]
-    alpha = form.field.element(period_coords)
-    return AlgebraElement(form.hom, alpha)
+    # coords . basis_num are the period coordinates over basis_den
+    num = linalg.mat_vec(linalg.transpose(form.basis_num), witness.coords)
+    return AlgebraElement(form.hom, form.field.element(num, form.basis_den))
 
 
 def self_dual_generator(

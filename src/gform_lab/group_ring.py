@@ -104,10 +104,6 @@ class GroupRingElement:
     def coefficient(self, s: GroupElement):
         return self.coeffs.get(s, Fraction(0))
 
-    @property
-    def support(self):
-        return set(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
@@ -84,9 +83,6 @@ class FiniteAbelianGroup:
 
     def character(self, exponents) -> "Character":
         return Character(self, tuple(exponents))
-
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
 
     def elements(self, bound: int = DEFAULT_ENUMERATION_BOUND) -> list["GroupElement"]:
         return enumerate_elements(self, bound)
@@ -159,9 +155,6 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", _reduced(self.group, self.exponents))
-
-    def value_exponent(self, s: GroupElement) -> int:
-        return character_value_exponent(self, s)
 
     def __mul__(self, other: "Character") -> "Character":
         _same_group(self, other)
@@ -299,11 +292,13 @@ class GroupTables:
         facs = G.invariant_factors
         if not facs:
             return ((1,),)
-        # rows: identity block, then the det map scaled into rational form
-        mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        # over m = exp(G): an identity block, then the det map, row i of
+        # which is the character exponents over the invariant factor d_i
+        m = G.exponent
+        mat = [[m * int(i == j) for j in range(n)] for i in range(n)]
         for i, d in enumerate(facs):
-            mat.append([Fraction(chi.exponents[i], d) for chi in self.characters])
-        rows, den = linalg.preimage_lattice(mat)
+            mat.append([chi.exponents[i] * (m // d) for chi in self.characters])
+        rows, den = linalg.preimage_lattice(mat, m)
         if den != 1:
             raise ArithmeticError("kernel lattice is not integral")
         index = 1

@@ -6,16 +6,19 @@ elimination, both on integer rows:
 
 - `_hnf_in_place`, the integer row Hermite normal form by unimodular row
   operations (Cohen, GTM 138, section 2.4). `hnf` and `hnf_with_transform`
-  are thin entry points over it, and `integer_kernel` reaches it through
-  them.
+  are thin entry points over it.
 - `_eliminate`, fraction-free Gaussian elimination (Bareiss 1968; Cohen,
   GTM 138, section 2.2) on rows whose denominators were cleared first, so
-  every division is exact and a Fraction appears only in the output. `det`
-  and `independent_rows` clear below the pivots only; `inverse` and `solve`
-  clear above them too (Gauss-Jordan). An entry outside Q, such as a
-  CyclotomicNumber, is a TypeError.
+  every division is exact. `det` and `independent_rows` clear below the
+  pivots only; `inverse` and `solve` clear above them too (Gauss-Jordan).
+  An entry outside Q, such as a CyclotomicNumber, is a TypeError.
 
-`preimage_lattice` uses both: the HNF of the scaled rows, then its inverse.
+Lattices are integer rows over one positive denominator. `inverse` returns
+its result that way, as (rows, den) with gcd(den, *rows) = 1, and builds no
+Fraction. `preimage_lattice(rows, den)` is the one lattice constructor: every
+lattice the package builds is {x : (rows/den) @ x integral} for an integer
+matrix and a den its caller knows, returned as (rows, den) in canonical form.
+It uses both cores: an HNF, its integer inverse, and an HNF again.
 
 `quadratic_solutions` enumerates the vectors of a given length over an exact
 LDL decomposition (Fincke-Pohst). The walk itself runs on integers: the
@@ -26,7 +29,7 @@ coordinate window is exact and no Fraction is built per node.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -135,32 +138,24 @@ def hnf_with_transform(rows: list[list[int]]):
     return [row[:ncols] for row in mat[:r]], [row[ncols:] for row in mat], r
 
 
-def integer_kernel(mat: list[list[int]]) -> list[list[int]]:
-    """Canonical basis (rows) of {v in Z^n : mat @ v = 0}."""
-    if not mat:
-        return []
-    rows = [list(col) for col in zip(*mat)]  # relations among columns of mat
-    _H, U, r = hnf_with_transform(rows)
-    return hnf([U[i] for i in range(r, len(rows))])
-
-
-def preimage_lattice(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """Basis of {x in Q^n : mat @ x in Z^m} for a rational matrix of full
-    column rank, returned as (rows, den): the lattice is (1/den) * rowspan(rows).
+def preimage_lattice(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """Basis of {x in Q^n : (rows/den) @ x in Z^m} for an integer matrix of
+    full column rank and a positive den, returned in canonical form as
+    (basis, d): the lattice is (1/d) * rowspan(basis), basis in HNF and
+    gcd(d, *basis) = 1.
     """
-    n = len(mat[0])
-    q = [[Fraction(c) for c in row] for row in mat]
-    d = lcm(*(c.denominator for row in q for c in row))
-    # the rows of d * mat span the lattice of the HNF H, so the preimage is
-    # {x : H @ x in d * Z^n}, spanned by the columns of d * H^-1
-    H = hnf([[int(c * d) for c in row] for row in q])
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    n = len(rows[0])
+    # rows and their HNF H span the same lattice, so the preimage is
+    # {x : H @ x in den * Z^n}, spanned by the columns of den * H^-1
+    H = hnf(rows)
     if len(H) != n:
         raise ValueError("matrix does not have full column rank")
-    den = prod(H[i][i] for i in range(n))
-    hinv = inverse(H)
-    rows = hnf([[int(hinv[i][j] * d * den) for i in range(n)] for j in range(n)])
-    g = gcd(den, *(c for row in rows for c in row))
-    return [[c // g for c in row] for row in rows], den // g
+    hinv, hden = inverse(H)
+    basis = hnf([[den * c for c in col] for col in zip(*hinv)])
+    g = gcd(hden, *(c for row in basis for c in row))
+    return [[c // g for c in row] for row in basis], hden // g
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +228,24 @@ def det(mat) -> Fraction:
     return Fraction(a[n - 1][n - 1] if n else 1, d)
 
 
-def inverse(mat) -> list[list[Fraction]]:
+def inverse(mat) -> tuple[list[list[int]], int]:
+    """The inverse of a nonsingular square matrix over Q as (rows, den):
+    integer rows over one positive den with gcd(den, *rows) = 1.
+
+    Gauss-Jordan leaves every pivot equal to the last one, p, so the
+    eliminated row i of [mat | I] is p*e_i | p*mat^-1 (the row scalings
+    cancel): the inverse is read off the integer rows, divided by p.
+    """
     n = len(mat)
     a, pivots, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
                                for i, row in enumerate(mat)], n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(a)]
+    p = a[-1][n - 1] if n else 1
+    g = gcd(p, *(x for row in a for x in row[n:]))
+    if p < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in a], p // g
 
 
 def solve(mat, rhs) -> list[Fraction]:

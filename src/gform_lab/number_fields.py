@@ -12,7 +12,12 @@ disc = f^(p-1) rather than assumed.
 
 Ideals are stored as row-HNF integer matrices over the period basis with a
 single positive denominator, so equality of ideals is equality of canonical
-forms.
+forms. The prime over ell, an ideal inverse and a trace dual are preimage
+lattices (`linalg.preimage_lattice`) of integer rows over a denominator
+known in advance: the prime is {v : Frob(v) = 0 mod ell}, the preimage of
+[ell*I ; Frob] over ell; an inverse takes the transposed multiplication
+matrices, and a trace dual the ideal rows times the trace Gram, over the
+ideal's denominator.
 
 Each field keeps one memo of its ideal layer, filled on first use and never
 shared between field objects: the prime P over each ramified ell, and the
@@ -96,11 +101,9 @@ class PeriodField:
         if len(pivots) < self.degree:
             raise FieldConstructionError("periods are linearly dependent")
         self._pivot_rows = pivots
-        inv = linalg.inverse([self._embed_matrix[i] for i in pivots])
         # the pivot inverse as an integer matrix over one denominator
-        den = lcm(*(x.denominator for row in inv for x in row))
-        self._pivot_den = den
-        self._pivot_inverse = [[int(x * den) for x in row] for row in inv]
+        self._pivot_inverse, self._pivot_den = linalg.inverse(
+            [self._embed_matrix[i] for i in pivots])
 
     def _init_tables(self):
         p, f = self.degree, self.conductor
@@ -141,10 +144,12 @@ class PeriodField:
     # -- element plumbing ---------------------------------------------------
 
     def element(self, coords, den: int = 1) -> CyclotomicNumber:
-        acc = CyclotomicNumber.rational(0, self.conductor)
-        for c, eta in zip(coords, self.periods):
-            acc = acc + eta * Fraction(c, den)
-        return acc
+        """sum(coords[t] * eta_t) / den for int or Fraction coords: one
+        product with the embedding matrix, the inverse of `coordinates`."""
+        scale = lcm(*(c.denominator for c in coords))
+        num = [c.numerator * (scale // c.denominator) for c in coords]
+        return CyclotomicNumber._raw(
+            self.conductor, tuple(linalg.mat_vec(self._embed_matrix, num)), scale * den)
 
     def coordinates(self, x: CyclotomicNumber) -> tuple[Fraction, ...]:
         """Period-basis coordinates of x; raises ValueError if x is not in
@@ -323,13 +328,9 @@ class FractionalIdeal:
     def inverse(self) -> "FractionalIdeal":
         """{x : x * I is contained in the maximal order}, computed exactly."""
         K = self.field
-        stacked = []
-        for b in self.num:
-            mat = K.multiplication_matrix(b)
-            mt = [list(col) for col in zip(*mat)]  # act on column vectors
-            for row in mt:
-                stacked.append([Fraction(c, self.den) for c in row])
-        rows, den = linalg.preimage_lattice(stacked)
+        # the multiplication matrices act on column vectors
+        stacked = [row for b in self.num for row in linalg.transpose(K.multiplication_matrix(b))]
+        rows, den = linalg.preimage_lattice(stacked, self.den)
         out = FractionalIdeal(K, rows, den)
         prod = out * self
         if prod != K.maximal_order():
@@ -340,21 +341,15 @@ class FractionalIdeal:
 def dual_lattice(lattice: FractionalIdeal) -> FractionalIdeal:
     """{x : Tr(x * L) integral} with respect to the trace form."""
     K = lattice.field
-    mat = []
-    for row in lattice.num:
-        mat.append([
-            Fraction(sum(row[t] * K.gram[t][k] for t in range(K.degree)), lattice.den)
-            for k in range(K.degree)
-        ])
-    rows, den = linalg.preimage_lattice(mat)
+    rows, den = linalg.preimage_lattice(linalg.mat_mul(lattice.num, K.gram), lattice.den)
     return FractionalIdeal(K, rows, den)
 
 
 def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
     """The unique (totally ramified) prime over a ramified prime ell, found as
-    the Frobenius kernel of the period order mod ell; its norm and total
-    ramification are verified by exact ideal arithmetic. Computed once per
-    field: later calls return the same ideal."""
+    the Frobenius kernel of the period order mod ell, a preimage lattice over
+    ell; its norm and total ramification are verified by exact ideal
+    arithmetic. Computed once per field: later calls return the same ideal."""
     if ell not in field.ramified_primes:
         raise ValueError(f"{ell} is not ramified in this field")
     memo = field._ideal_memo
@@ -387,15 +382,14 @@ def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
             if e:
                 power = mul_mod(power, power)
         frob_cols.append(acc)
-    # {v : mat @ v = 0 mod ell} is the projection of the integer kernel of
-    # [mat | ell * I]; it contains ell * Z^p
-    mat = [[frob_cols[t][i] for t in range(p)] + [ell * int(i == j) for j in range(p)]
-           for i in range(p)]
-    kernel = linalg.integer_kernel(mat)
-    ideal = FractionalIdeal(field, [row[:p] for row in kernel], 1)
+    # {v : Frob @ v = 0 mod ell} is the preimage lattice of [ell*I ; Frob]
+    # over ell: the identity block keeps v integral
+    ell_rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
+    rows, den = linalg.preimage_lattice(ell_rows + linalg.transpose(frob_cols), ell)
+    ideal = FractionalIdeal(field, rows, den)
     if ideal.norm() != ell:
         raise ArithmeticError(f"prime over {ell} has norm {ideal.norm()}, expected {ell}")
-    ell_ideal = FractionalIdeal(field, [[ell * int(i == j) for j in range(p)] for i in range(p)], 1)
+    ell_ideal = FractionalIdeal(field, ell_rows, 1)
     if ideal**p != ell_ideal:
         raise ArithmeticError(f"{ell} is not totally ramified; wrong Frobenius kernel")
     memo[ell] = ideal
@@ -417,8 +411,10 @@ def _hilbert_ideals(field: PeriodField) -> tuple[FractionalIdeal, FractionalIdea
         p, f = field.degree, field.conductor
         O = field.maximal_order()
         primes = [prime_above(field, ell) for ell in field.ramified_primes]
-        d = reduce(mul, [P ** (p - 1) for P in primes])
+        # P^(p-1) = P^((p+1)/2) * P^((p-3)/2), and the second factor is O at
+        # p = 3, so each prime is raised to (p+1)/2 once and d reuses it
         upper = reduce(mul, [P ** ((p + 1) // 2) for P in primes])
+        d = reduce(mul, [P ** ((p - 3) // 2) for P in primes if p > 3], upper)
         A = FractionalIdeal(field, upper.num, f * upper.den)
         inverse_different = dual_lattice(O)
         if d * inverse_different != O:

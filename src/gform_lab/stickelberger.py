@@ -60,13 +60,6 @@ class DualLatticeElement:
         if len(self.coeffs) != self.group.order:
             raise ValueError("coefficient vector does not match the dual group size")
 
-    @classmethod
-    def from_character(cls, chi: Character, mult: int = 1) -> "DualLatticeElement":
-        G = chi.group
-        coeffs = [0] * G.order
-        coeffs[group_tables(G).character_index[chi]] = mult
-        return cls(G, tuple(coeffs))
-
     def __add__(self, other: "DualLatticeElement") -> "DualLatticeElement":
         return DualLatticeElement(
             self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -56,49 +56,54 @@ def test_hnf_with_transform():
         assert H == linalg.hnf(A)
 
 
-def test_integer_kernel():
-    rng = random.Random(12)
-    A = [[1, 2, 3], [2, 4, 6]]
-    K = linalg.integer_kernel(A)
-    assert len(K) == 2
-    for v in K:
-        assert linalg.mat_vec(A, v) == [0, 0]
-    # kernel contains (3, 0, -1) and (2, -1, 0) combinations
-    for _ in range(15):
-        m = rng.randrange(1, 4)
-        n = rng.randrange(1, 5)
-        A = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
-        K = linalg.integer_kernel(A)
-        for v in K:
-            assert all(x == 0 for x in linalg.mat_vec(A, v))
-
-
 def test_preimage_lattice_simple():
     # {x in Q^2 : x/2 in Z^2} = 2Z^2
-    M = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    rows, den = linalg.preimage_lattice(M)
+    rows, den = linalg.preimage_lattice([[1, 0], [0, 1]], 2)
     assert den == 1
     assert rows == [[2, 0], [0, 2]]
+    # {x : 2x in Z^2} = (1/2) Z^2
+    assert linalg.preimage_lattice([[2, 0], [0, 2]], 1) == ([[1, 0], [0, 1]], 2)
+    with pytest.raises(ValueError):
+        linalg.preimage_lattice([[1, 0], [0, 1]], 0)
 
 
 def test_preimage_lattice_membership():
+    # both directions on a box: with delta = |det| of the top minor, the
+    # preimage lies in (1/delta) Z^n, so x = y/delta for integer y, and x is
+    # in the preimage exactly when M @ y = 0 mod (den * delta)
     rng = random.Random(3)
+    box = range(-7, 8)
     for _ in range(15):
         n = 3
-        M = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)] for _ in range(n + 1)]
-        if linalg.det([row[:n] for row in M[:n]]) == 0:
+        M = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n + 1)]
+        den = rng.randrange(1, 7)
+        delta = abs(linalg.det(M[:n]))
+        if delta == 0:
             continue
-        rows, den = linalg.preimage_lattice(M)
+        rows, d = linalg.preimage_lattice(M, den)
+        assert d > 0 and linalg.hnf(rows) == rows
         for row in rows:
-            img = linalg.mat_vec(M, [Fraction(c, den) for c in row])
-            assert all(v.denominator == 1 for v in img)
+            assert all(v % (den * d) == 0 for v in linalg.mat_vec(M, row))
+        for y in itertools.product(box, repeat=n):
+            in_preimage = all(v % (den * delta) == 0 for v in linalg.mat_vec(M, y))
+            # y/delta = v/d with v integral, and v in the row span
+            in_lattice = all(c * d % delta == 0 for c in y) and (
+                linalg.hnf(rows + [[c * d // delta for c in y]]) == rows)
+            assert in_preimage == in_lattice, (M, den, y)
 
 
 def test_det_and_inverse():
     M = [[2, 1], [1, 1]]
     assert linalg.det(M) == 1
-    inv = linalg.inverse(M)
-    assert linalg.mat_eq(linalg.mat_mul(M, inv), linalg.identity_matrix(2))
+    assert linalg.inverse(M) == ([[1, -1], [-1, 2]], 1)
+    # a row swap, and a negative last pivot (det -3), still give a positive
+    # denominator
+    assert linalg.inverse([[0, 2], [3, 0]]) == ([[0, 2], [3, 0]], 6)
+    assert linalg.inverse([[2, 1], [1, -1]]) == ([[1, 1], [1, -2]], 3)
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    rows, den = linalg.inverse(M)
+    assert den > 0 and gcd(den, *(c for row in rows for c in row)) == 1
+    assert linalg.mat_mul(M, rows) == [[den * int(i == j) for j in range(3)] for i in range(3)]
     with pytest.raises(ZeroDivisionError):
         linalg.inverse([[1, 2], [2, 4]])
 
@@ -112,11 +117,11 @@ def test_solve_overdetermined():
 
 
 def test_kernel_mod_prime():
-    # {v : A @ v = 0 mod p} is the projection of the integer kernel of [A | p*I]
+    # {v : A @ v = 0 mod p} is the preimage lattice of [p*I ; A] over p
     A = [[1, 1, 0], [0, 0, 1]]
-    kernel = linalg.integer_kernel([row + [5 * int(i == j) for j in range(2)]
-                                    for i, row in enumerate(A)])
-    lattice = linalg.hnf([row[:3] for row in kernel])
+    lattice, den = linalg.preimage_lattice(
+        [[5 * int(i == j) for j in range(3)] for i in range(3)] + A, 5)
+    assert den == 1
     assert lattice == [[1, 4, 0], [0, 5, 0], [0, 0, 5]]
     for v in itertools.product(range(5), repeat=3):
         in_kernel = all(sum(a * b for a, b in zip(row, v)) % 5 == 0 for row in A)
@@ -231,8 +236,12 @@ def _check_det_and_inverse(M):
         with pytest.raises(ZeroDivisionError):
             linalg.inverse(M)
     else:
-        inv = linalg.inverse(M)
-        assert inv == [[_from_sympy(x) for x in S.inv().row(i)] for i in range(n)]
+        rows, den = linalg.inverse(M)
+        assert den > 0
+        assert gcd(den, *(c for row in rows for c in row)) == 1
+        assert [[Fraction(c, den) for c in row] for row in rows] == [
+            [_from_sympy(x) for x in S.inv().row(i)] for i in range(n)
+        ]
 
 
 def test_det_and_inverse_match_sympy():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,22 @@ def test_coordinates_roundtrip(k7):
     assert k7.coordinates(x) == (Fraction(1, 3), Fraction(-2, 3), Fraction(5, 3))
     with pytest.raises(ValueError):
         k7.coordinates(Z(7))  # zeta_7 itself is not in the cubic field
+
+
+@pytest.mark.parametrize("p, f", [(3, 7), (5, 11), (3, 91)])
+def test_element_inverts_coordinates(p, f):
+    K = build_field(p, f)
+    rng = random.Random(f)
+    for den in (1, 2, 7):
+        for _ in range(4):
+            c = [rng.randint(-30, 30) for _ in range(p)]
+            x = K.element(c, den)
+            assert K.coordinates(x) == tuple(Fraction(v, den) for v in c)
+            assert x == sum((eta * Fraction(v, den) for v, eta in zip(c, K.periods)),
+                         CyclotomicNumber.rational(0, f))
+    q = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(p))
+    assert K.coordinates(K.element(q)) == q
+    assert K.coordinates(K.element(q, 7)) == tuple(v / 7 for v in q)
 
 
 @pytest.mark.parametrize("conductor", [7, 13])
@@ -295,13 +312,14 @@ def test_ideal_layer_is_built_once_per_field(monkeypatch):
     from gform_lab import linalg
 
     kernels = []
-    original = linalg.integer_kernel
+    original = linalg.preimage_lattice
 
-    def spy(mat):
-        kernels.append(mat)
-        return original(mat)
+    def spy(rows, den):
+        if den in (7, 13):  # a Frobenius kernel over a ramified prime
+            kernels.append(rows)
+        return original(rows, den)
 
-    monkeypatch.setattr(linalg, "integer_kernel", spy)
+    monkeypatch.setattr(linalg, "preimage_lattice", spy)
     K = build_field(3, 91)
     A = sqrt_inverse_different(K)
     d = different(K)

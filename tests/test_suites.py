@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,34 @@ def test_cli_compose():
     doc = json.loads(proc.stdout)
     assert doc["composite_conductor"] == 91
     assert doc["status"] == "pass"
+
+
+# sha256 of the --json stdout of each report, so that no refactor changes a
+# report silently; a deliberate change re-pins its hash and says why
+CLI_REPORT_HASHES = [
+    pytest.param(("field", "analyze", "--degree", "3", "--conductor", "7"),
+                 "b14269ba72e4dfa041f4ca5c36315dee19fee99d2d5eda01ff6911176761fe31",
+                 id="field-analyze-3-7"),
+    pytest.param(("field", "analyze", "--degree", "5", "--conductor", "11"),
+                 "044302380bbec27acfb49b04c76f20943f05244dabfe6424588ac5066442e8e8",
+                 id="field-analyze-5-11"),
+    pytest.param(("selfdual", "search", "--degree", "3", "--conductor", "13"),
+                 "2e2dcedc4c92c94fb44e0fdd1146b07cc2470c3a5a31436e9608facd14f8faf7",
+                 id="selfdual-search-3-13"),
+    pytest.param(("compose", "--conductors", "7,13"),
+                 "f8212f8d21776d1e1c6a0e9eeef0290718ea2fb854b5222c31669f33ede8129d",
+                 id="compose-7-13"),
+    pytest.param(("stickelberger", "table", "--group", "3,3"),
+                 "3abb091416466689441eb4ae232a2aee4d1ace55c2087e93b63482758d2a8bfc",
+                 id="stickelberger-table-3-3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CLI_REPORT_HASHES)
+def test_cli_report_hash_is_pinned(argv, digest):
+    proc = run_cli(*argv, "--json")
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_propcheck_single_suite(tmp_path):
