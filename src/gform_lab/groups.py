@@ -7,9 +7,9 @@ chi(s) = zeta_m^e for m = exp(G).
 
 `group_tables(G)` holds, once per group, the enumerations and the integer
 tables that the group-ring and Stickelberger layers read: index maps, the
-product table, character values, element orders, the centered pairing, the
-rational character orbits and the determinant-kernel basis. Each table is
-built on first use.
+product table, character values, character inversion, element orders, the
+centered pairing, the rational character orbits and the determinant-kernel
+basis. Each table is built on first use.
 """
 
 from __future__ import annotations
@@ -242,6 +242,12 @@ class GroupTables:
             tuple(character_value_exponent(chi, s) for s in self.elements)
             for chi in self.characters
         )
+
+    @cached_property
+    def conjugate(self) -> tuple[int, ...]:
+        """conjugate[c] = index of characters[c]^-1; an involution."""
+        index = self.character_index
+        return tuple(index[chi.inverse()] for chi in self.characters)
 
     @cached_property
     def orders(self) -> tuple[int, ...]:

@@ -270,6 +270,16 @@ class FractionalIdeal:
         self.num = tuple(tuple(r) for r in rows)
         self.den = den
 
+    @classmethod
+    def _canonical(cls, field: PeriodField, rows, den: int) -> "FractionalIdeal":
+        """The ideal of a `linalg.preimage_lattice` result, whose rows are
+        already a full-rank HNF with gcd(den, *rows) = 1, taken as it is."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.num = tuple(tuple(r) for r in rows)
+        out.den = den
+        return out
+
     # -- structure -----------------------------------------------------------
 
     def basis_elements(self) -> list[CyclotomicNumber]:
@@ -331,7 +341,7 @@ class FractionalIdeal:
         # the multiplication matrices act on column vectors
         stacked = [row for b in self.num for row in linalg.transpose(K.multiplication_matrix(b))]
         rows, den = linalg.preimage_lattice(stacked, self.den)
-        out = FractionalIdeal(K, rows, den)
+        out = FractionalIdeal._canonical(K, rows, den)
         prod = out * self
         if prod != K.maximal_order():
             raise ArithmeticError("ideal inverse verification failed")
@@ -342,7 +352,7 @@ def dual_lattice(lattice: FractionalIdeal) -> FractionalIdeal:
     """{x : Tr(x * L) integral} with respect to the trace form."""
     K = lattice.field
     rows, den = linalg.preimage_lattice(linalg.mat_mul(lattice.num, K.gram), lattice.den)
-    return FractionalIdeal(K, rows, den)
+    return FractionalIdeal._canonical(K, rows, den)
 
 
 def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
@@ -386,7 +396,7 @@ def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
     # over ell: the identity block keeps v integral
     ell_rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
     rows, den = linalg.preimage_lattice(ell_rows + linalg.transpose(frob_cols), ell)
-    ideal = FractionalIdeal(field, rows, den)
+    ideal = FractionalIdeal._canonical(field, rows, den)
     if ideal.norm() != ell:
         raise ArithmeticError(f"prime over {ell} has norm {ideal.norm()}, expected {ell}")
     ell_ideal = FractionalIdeal(field, ell_rows, 1)

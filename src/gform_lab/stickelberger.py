@@ -82,12 +82,8 @@ class DualLatticeElement:
 
     def conjugate(self) -> "DualLatticeElement":
         """Precompose with chi -> chi^{-1} (the dual-side involution)."""
-        G = self.group
-        T = group_tables(G)
-        out = [0] * G.order
-        for chi, n in zip(T.characters, self.coeffs):
-            out[T.character_index[chi.inverse()]] += n
-        return DualLatticeElement(G, tuple(out))
+        conj = group_tables(self.group).conjugate
+        return DualLatticeElement(self.group, tuple(self.coeffs[c] for c in conj))
 
     def galois_act(self, k: int) -> "DualLatticeElement":
         """Canonical action chi -> chi^k induced by zeta -> zeta^k."""
@@ -165,19 +161,39 @@ def pairing(psi, alpha, group: FiniteAbelianGroup | None = None) -> Fraction:
     return acc
 
 
-def stickelberger_map(psi: DualLatticeElement) -> StickelbergerVector:
-    """psi -> sum_s <psi, s> s as a rational vector over G: the numerators
-    sum_chi psi_chi * upsilon(chi, s) are summed as integers, then divided
-    by |s| once per element."""
+def _image_numerators(psi: DualLatticeElement) -> list[int]:
+    """The integers sum_chi psi_chi * upsilon(chi, s), in element order: |s|
+    times the coefficient <psi, s> of s in the Stickelberger image of psi."""
     G = psi.group
     _require_odd(G)
-    T = group_tables(G)
     acc = [0] * G.order
-    for row, n in zip(T.upsilon, psi.coeffs):
+    for row, n in zip(group_tables(G).upsilon, psi.coeffs):
         if n:
             for i, u in enumerate(row):
                 acc[i] += n * u
-    return StickelbergerVector(G, tuple(Fraction(a, o) for a, o in zip(acc, T.orders)))
+    return acc
+
+
+def _image_exponents(psi: DualLatticeElement) -> list[int]:
+    """The integer exponents n_s of the image sum_s n_s s of psi, each
+    numerator divided by |s| exactly; a ValueError when psi is outside the
+    determinant kernel, where some division leaves a remainder."""
+    out = []
+    for a, o in zip(_image_numerators(psi), group_tables(psi.group).orders):
+        q, r = divmod(a, o)
+        if r:
+            raise ValueError("psi is outside the determinant kernel; exponents not integral")
+        out.append(q)
+    return out
+
+
+def stickelberger_map(psi: DualLatticeElement) -> StickelbergerVector:
+    """psi -> sum_s <psi, s> s as a rational vector over G: the numerators
+    are summed as integers, then divided by |s| once per element."""
+    orders = group_tables(psi.group).orders
+    return StickelbergerVector(
+        psi.group, tuple(Fraction(a, o) for a, o in zip(_image_numerators(psi), orders))
+    )
 
 
 def det_kernel_basis(group: FiniteAbelianGroup) -> list[DualLatticeElement]:
@@ -327,13 +343,10 @@ def _split_transpose(
 ) -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """(prod_{n_s > 0} f(s)^(n_s), prod_{n_s < 0} f(s)^(-n_s)) where the
     image of psi is sum n_s s (psi must sit in the determinant kernel so that
-    the exponents are integers). Neither product takes an inverse."""
-    theta = stickelberger_map(psi)
-    if not theta.is_integral():
-        raise ValueError("psi is outside the determinant kernel; exponents not integral")
+    the exponents are integers). Neither product takes an inverse, and a zero
+    exponent vector takes no product at all."""
     pos = neg = None
-    for s, c in zip(group_tables(f.group).elements, theta.coeffs):
-        e = int(c)
+    for s, e in zip(group_tables(f.group).elements, _image_exponents(psi)):
         if e > 0:
             x = f(s) ** e
             pos = x if pos is None else pos * x
@@ -347,9 +360,14 @@ def _split_transpose(
 def transpose_value(f: EquivariantMap, psi: DualLatticeElement) -> CyclotomicNumber:
     """Value of f after precomposition with the Stickelberger map:
     prod_s f(s)^(n_s) where the image of psi is sum n_s s (psi must sit in the
-    determinant kernel so that the exponents are integers). The positive and
-    negative parts are multiplied out separately, so the value costs at most
-    one inverse, whatever the number of negative exponents."""
+    determinant kernel so that the exponents are integers, else ValueError).
+
+    The map is linear, so the exponent vector of psi1 + psi2 is the sum of
+    theirs, and psi -> transpose_value(f, psi) is a homomorphism from the
+    kernel lattice to the units: v(psi1 + psi2) = v(psi1) * v(psi2). The
+    exponents are read off integer numerators; the positive and negative
+    parts are multiplied out separately, so the value costs at most one
+    inverse, whatever the number of negative exponents."""
     pos, neg = _split_transpose(f, psi)
     return pos if neg.is_one() else pos * neg.inverse()
 
@@ -376,15 +394,16 @@ def image_selfdual_check(f: EquivariantMap) -> bool:
     """transpose(f) lands in the strict self-dual class: its value at psi
     times its value at the conjugate of psi is 1 on a kernel basis.
 
-    With v = p/n split into the products over positive and negative
-    exponents, v(psi) * v(conj psi) = 1 is decided as p1 * p2 == n1 * n2,
-    without a division. This is exactly equivalent because every n is a
-    product of values of f, and EquivariantMap rejects a vanishing value at
-    construction."""
+    The Stickelberger map is linear, so v(psi) * v(conj psi) = v(psi + conj
+    psi), and the check splits the one value v(psi + conj psi) = p/n into
+    its products over positive and negative exponents and decides p == n,
+    without a division. This is exactly equivalent because n is a product of
+    values of f, and EquivariantMap rejects a vanishing value at
+    construction. Since upsilon(chi^-1, s) = -upsilon(chi, s), the exponents
+    of psi + conj psi are all zero, and then no product is taken."""
     for psi in det_kernel_basis(f.group):
-        p1, n1 = _split_transpose(f, psi)
-        p2, n2 = _split_transpose(f, psi.conjugate())
-        if not (p1 * p2 == n1 * n2):
+        pos, neg = _split_transpose(f, psi + psi.conjugate())
+        if not (pos == neg):
             return False
     return True
 

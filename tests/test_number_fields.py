@@ -353,3 +353,16 @@ def test_failed_ideal_checks_store_nothing(monkeypatch):
             sqrt_inverse_different(K)
     monkeypatch.undo()
     assert sqrt_inverse_different(K) * sqrt_inverse_different(K) == dual_lattice(O)
+
+
+@pytest.mark.parametrize("p, f", [(3, 7), (3, 91), (5, 11)])
+def test_preimage_ideals_equal_the_validating_constructor(p, f):
+    # the prime over ell, an inverse and a trace dual are taken from
+    # preimage_lattice as they are; re-running the HNF and the gcd
+    # normalization of FractionalIdeal.__init__ must change nothing
+    K = build_field(p, f)
+    primes = [prime_above(K, ell) for ell in K.ramified_primes]
+    ideals = primes + [P.inverse() for P in primes]
+    ideals += [dual_lattice(K.maximal_order()), dual_lattice(sqrt_inverse_different(K))]
+    for ideal in ideals:
+        assert FractionalIdeal(K, ideal.num, ideal.den) == ideal

@@ -3,11 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from gform_lab.arith import euler_phi
 from gform_lab.cyclotomic import CyclotomicNumber
-from gform_lab.groups import EnumerationBoundError, FiniteAbelianGroup, character_value_exponent
+from gform_lab.groups import (
+    EnumerationBoundError,
+    FiniteAbelianGroup,
+    character_value_exponent,
+    group_tables,
+)
 from gform_lab.stickelberger import (
     DualLatticeElement,
     EquivariantMap,
+    _image_exponents,
     det_kernel_basis,
     equivariance_check,
     image_selfdual_check,
@@ -309,6 +316,154 @@ def test_image_selfdual_check_decides_without_division(monkeypatch):
     # the comparison p1 * p2 == n1 * n2 must see it
     monkeypatch.setattr(DualLatticeElement, "conjugate", lambda self: self)
     assert not image_selfdual_check(f)
+
+
+# -- the transpose as a lattice homomorphism ---------------------------------
+
+
+def odd_abelian_groups(bound):
+    """Every abelian group of odd order at most bound, as invariant-factor
+    chains d_1 | d_2 | ... (the trivial group included)."""
+
+    def chains(order, smallest):
+        # chains of factors >= smallest with each dividing the next
+        if order == 1:
+            yield ()
+        for d in range(smallest, order + 1):
+            if order % d == 0:
+                for rest in chains(order // d, d):
+                    if not rest or rest[0] % d == 0:
+                        yield (d,) + rest
+
+    return [FiniteAbelianGroup(c) for n in range(1, bound + 1, 2) for c in chains(n, 2)]
+
+
+ODD_GROUPS = odd_abelian_groups(35)
+HOM_GROUPS = [C3, C7, C9, C33]
+
+
+def test_odd_group_list_is_complete():
+    # one group for each of the 18 odd orders up to 35, except two of order
+    # 9, two of order 25 and three of order 27
+    assert len(ODD_GROUPS) == 18 + 1 + 1 + 2
+    assert FiniteAbelianGroup((3, 3, 3)) in ODD_GROUPS
+    assert FiniteAbelianGroup((3, 9)) in ODD_GROUPS
+
+
+@pytest.mark.parametrize("G", ODD_GROUPS, ids=str)
+def test_upsilon_is_odd_in_the_character(G):
+    # upsilon(chi^-1, s) = -upsilon(chi, s), read off the tables: the reason
+    # the transpose of every nonvanishing map is self-dual
+    T = group_tables(G)
+    for c, chi in enumerate(T.characters):
+        assert T.characters[T.conjugate[c]] == chi.inverse()
+        assert T.conjugate[T.conjugate[c]] == c
+        assert T.upsilon[T.conjugate[c]] == tuple(-u for u in T.upsilon[c])
+
+
+@pytest.mark.parametrize("G", ODD_GROUPS, ids=str)
+def test_psi_plus_its_conjugate_has_zero_exponents(G):
+    for psi in det_kernel_basis(G):
+        assert _image_exponents(psi + psi.conjugate()) == [0] * G.order
+
+
+def scrambled_map(G, rng, span=4):
+    """A map with one random nonzero value in Q(zeta_|s|) per element and no
+    acting residues, so nothing ties the values of one twist orbit."""
+    values = {}
+    for s in G.elements():
+        o = s.order()
+        while True:
+            x = CyclotomicNumber(o, [rng.randint(-span, span) for _ in range(euler_phi(o))])
+            if not x.is_zero():
+                break
+        values[s] = x
+    return EquivariantMap(G, values, acting_generators=())
+
+
+def sample_maps(G, rng):
+    return [EquivariantMap.random_map(G, rng) for _ in range(2)] + [
+        scrambled_map(G, rng) for _ in range(2)
+    ]
+
+
+def random_kernel_element(basis, rng):
+    psi = 0 * basis[0]
+    for b in basis:
+        psi = psi + rng.randint(-2, 2) * b
+    return psi
+
+
+@pytest.mark.parametrize("G", HOM_GROUPS, ids=str)
+def test_transpose_value_is_a_homomorphism(G):
+    rng = random.Random(37)
+    basis = det_kernel_basis(G)
+    for f in sample_maps(G, rng):
+        for _ in range(3):
+            psi1 = random_kernel_element(basis, rng)
+            psi2 = random_kernel_element(basis, rng)
+            assert transpose_value(f, psi1 + psi2) == (
+                transpose_value(f, psi1) * transpose_value(f, psi2)
+            )
+
+
+def split_products(f, psi):
+    """(prod of f(s)^n_s over n_s > 0, prod of f(s)^-n_s over n_s < 0),
+    with the exponents read off stickelberger_map."""
+    pos = neg = CyclotomicNumber.rational(1, 1)
+    for s, c in zip(f.group.elements(), stickelberger_map(psi).coeffs):
+        assert c.denominator == 1
+        if c > 0:
+            pos = pos * f(s) ** int(c)
+        elif c < 0:
+            neg = neg * f(s) ** int(-c)
+    return pos, neg
+
+
+def reference_selfdual_check(f):
+    """v(psi) * v(conj psi) = 1 on the kernel basis, with psi and its
+    conjugate split separately and compared as p1 * p2 == n1 * n2."""
+    for psi in det_kernel_basis(f.group):
+        p1, n1 = split_products(f, psi)
+        p2, n2 = split_products(f, psi.conjugate())
+        if not (p1 * p2 == n1 * n2):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("G", HOM_GROUPS, ids=str)
+def test_image_selfdual_check_matches_the_two_product_route(G, monkeypatch):
+    rng = random.Random(41)
+    maps = sample_maps(G, rng)
+    for f in maps:
+        assert image_selfdual_check(f) == reference_selfdual_check(f)
+    # with psi paired with itself both routes decide v(psi)^2 = 1, which
+    # fails on most maps: they must agree there too
+    monkeypatch.setattr(DualLatticeElement, "conjugate", lambda self: self)
+    verdicts = [image_selfdual_check(f) for f in maps]
+    assert verdicts == [reference_selfdual_check(f) for f in maps]
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("G", [C3, C7, C9], ids=str)
+def test_image_selfdual_check_takes_no_cyclotomic_product(G, monkeypatch):
+    rng = random.Random(43)
+    maps = [EquivariantMap.random_map(G, rng) for _ in range(3)] + [scrambled_map(G, rng)]
+    calls = []
+    original = CyclotomicNumber.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counting)
+    for f in maps:
+        assert image_selfdual_check(f)
+    assert calls == []
+    # the guard sees products when the exponents do not vanish
+    transpose_value(maps[0], det_kernel_basis(G)[-1])
+    assert calls
 
 
 @pytest.mark.parametrize("bound,width", [(64, 129), (100, 201), (200, 401)])
