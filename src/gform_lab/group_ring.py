@@ -1,29 +1,31 @@
-"""Group algebras RG over exact coefficient rings.
+"""Group algebras RG over exact coefficient rings, stored densely by index.
 
-Coefficients are Fractions or CyclotomicNumbers (ints are coerced to
-Fractions); storage is sparse and canonical, so equality is structural.
-The involution sends each group element to its inverse, and the character
-(Fourier) transform turns convolution into pointwise multiplication, which
-is how invertibility is decided. A regular-representation linear solve is
-kept alongside as an independent oracle.
+An element is a tuple over the elements of `group_tables(G)` (identity
+first, then exponent order). A rational element holds integer numerators
+`num` over one positive `den` in lowest terms; one with a nonzero
+CyclotomicNumber coefficient holds its coefficients in `values` instead, and
+stays non-rational until `demoted()`. Both forms are canonical, so equality
+is structural. The constructor takes a dict {GroupElement: coefficient}, the
+one place foreign keys are checked; `coeffs` is the derived dict of nonzero
+coefficients. Arithmetic runs on indices through the `group_tables` product
+table and inverse permutation. The character (Fourier) transform turns
+convolution into pointwise multiplication, which is how invertibility is
+decided; a regular-representation linear solve is an independent oracle.
 
-`try_invert` picks its route from the coefficients. A rational element
-(every coefficient a Fraction) takes the orbit route: QG splits as a product
-of fields Q(zeta_d), one per rational orbit of characters (Perlis-Walker),
-and the Fourier values along an orbit are Galois conjugates. So it takes one
-Fourier value per orbit, at level d = ord(chi), inverts it once, and returns
-to QG through traces Tr_{Q(zeta_d)/Q}. An element with a CyclotomicNumber
-coefficient takes the per-character route (`fourier`, one inverse per
-character, `fourier_inverse`), because its Fourier values need not be
-conjugate. Both routes verify the inverse by multiplying back. Products of
-rational elements run on integer numerators over one common denominator.
+`try_invert` picks its route from the storage. A rational element takes the
+orbit route: QG splits as a product of fields Q(zeta_d), one per rational
+orbit of characters (Perlis-Walker), and the Fourier values along an orbit
+are Galois conjugates. So it inverts one Fourier value per orbit, at level
+d = ord(chi), and returns to QG through traces Tr_{Q(zeta_d)/Q}. Any other
+element takes the per-character route (`fourier`, one inverse per character,
+`fourier_inverse`). Both routes verify the inverse by multiplying back.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .arith import euler_phi
@@ -39,18 +41,6 @@ class NotInvertible(ArithmeticError):
         self.character = character
 
 
-def _coeff(c):
-    if isinstance(c, (CyclotomicNumber, Fraction)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, CyclotomicNumber) else c == 0
-
-
 def _demote(c):
     """CyclotomicNumber with rational value -> Fraction."""
     if isinstance(c, CyclotomicNumber) and c.is_rational():
@@ -58,25 +48,37 @@ def _demote(c):
     return c
 
 
-def _coeff_is_integral(c) -> bool:
-    if isinstance(c, CyclotomicNumber):
-        return c.is_integral()
-    return c.denominator == 1
+def _normal_form(values) -> tuple:
+    """(num, den, None) if every coefficient is rational, a zero
+    CyclotomicNumber included, else (None, None, coefficient tuple)."""
+    for c in values:
+        if not isinstance(c, (int, Fraction, CyclotomicNumber)):
+            raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+    out = [0 if isinstance(c, CyclotomicNumber) and c.is_zero() else c for c in values]
+    if any(isinstance(c, CyclotomicNumber) for c in out):
+        return None, None, tuple(Fraction(c) if isinstance(c, int) else c for c in out)
+    # the lcm of reduced denominators leaves no common factor with den
+    den = lcm(*(c.denominator for c in out))
+    return tuple(c.numerator * (den // c.denominator) for c in out), den, None
 
 
 class GroupRingElement:
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "num", "den", "values")
 
     def __init__(self, group: FiniteAbelianGroup, coeffs):
-        cleaned = {}
-        for s, c in dict(coeffs).items():
-            if not isinstance(s, GroupElement) or s.group != group:
+        """From {GroupElement of group: int, Fraction or CyclotomicNumber}."""
+        index = group_tables(group).element_index
+        values = [0] * len(index)
+        for s, c in (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items():
+            if (i := index.get(s)) is None:
                 raise GroupSpecError("coefficient keyed by a foreign group element")
-            c = _coeff(c)
-            if not _is_zero(c):
-                cleaned[s] = c
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", cleaned)
+            values[i] = c
+        self._set(group, *_normal_form(values))
+
+    def _set(self, *slots):
+        for name, v in zip(self.__slots__, slots):
+            object.__setattr__(self, name, v)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("GroupRingElement is immutable")
@@ -84,16 +86,27 @@ class GroupRingElement:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _dense(cls, group, values) -> "GroupRingElement":
+        """From one coefficient per element index."""
+        return object.__new__(cls)._set(group, *_normal_form(values))
+
+    @classmethod
+    def _rational(cls, group, num, den: int = 1) -> "GroupRingElement":
+        """From integer numerators per element index over den > 0."""
+        g = gcd(den, *num)
+        return object.__new__(cls)._set(group, tuple(x // g for x in num), den // g, None)
+
+    @classmethod
     def zero(cls, group):
-        return cls(group, {})
+        return cls._rational(group, (0,) * group.order)
 
     @classmethod
     def one(cls, group):
-        return cls(group, {group.identity(): Fraction(1)})
+        return cls._rational(group, (1,) + (0,) * (group.order - 1))
 
     @classmethod
     def scalar(cls, group, c):
-        return cls(group, {group.identity(): c})
+        return cls._dense(group, [c] + [0] * (group.order - 1))
 
     @classmethod
     def from_element(cls, s: GroupElement, c=1):
@@ -101,30 +114,39 @@ class GroupRingElement:
 
     # -- basic structure -------------------------------------------------------
 
+    def _coefficients(self) -> tuple:
+        """Every coefficient, a Fraction or a CyclotomicNumber, in index order."""
+        return self.values if self.num is None else tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as a fresh {GroupElement: coefficient} dict."""
+        return {s: c for s, c in zip(group_tables(self.group).elements, self._coefficients()) if c}
+
     def coefficient(self, s: GroupElement):
-        return self.coeffs.get(s, Fraction(0))
+        if (i := group_tables(self.group).element_index.get(s)) is None:
+            raise GroupSpecError(f"{s!r} is not an element of {self.group}")
+        return self.values[i] if self.num is None else Fraction(self.num[i], self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.num is not None and not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(not isinstance(c, CyclotomicNumber) for c in self.coeffs.values())
+        return self.num is not None
 
     def is_integral(self) -> bool:
-        return all(_coeff_is_integral(c) for c in self.coeffs.values())
+        return all(c.is_integral() if isinstance(c, CyclotomicNumber) else c.denominator == 1
+                   for c in self._coefficients())
 
     def coefficient_level(self) -> int:
-        out = 1
-        for c in self.coeffs.values():
-            if isinstance(c, CyclotomicNumber):
-                out = lcm(out, c.level)
-        return out
+        return lcm(1, *(c.level for c in self.values or () if isinstance(c, CyclotomicNumber)))
 
     def map_coefficients(self, fn) -> "GroupRingElement":
-        return GroupRingElement(self.group, {s: fn(c) for s, c in self.coeffs.items()})
+        """fn applied to every nonzero coefficient."""
+        return self._dense(self.group, [fn(c) if c else c for c in self._coefficients()])
 
     def demoted(self) -> "GroupRingElement":
-        return self.map_coefficients(_demote)
+        return self if self.num is not None else self.map_coefficients(_demote)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -137,10 +159,8 @@ class GroupRingElement:
         if other is NotImplemented:
             return other
         self._check(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        return GroupRingElement(self.group, out)
+        pairs = zip(self._coefficients(), other._coefficients())
+        return self._dense(self.group, [x + y for x, y in pairs])
 
     __radd__ = __add__
 
@@ -157,7 +177,7 @@ class GroupRingElement:
         return other + (-self)
 
     def __neg__(self):
-        return GroupRingElement(self.group, {s: -c for s, c in self.coeffs.items()})
+        return self._dense(self.group, [-c for c in self._coefficients()])
 
     def _coerce(self, other):
         if isinstance(other, GroupRingElement):
@@ -173,32 +193,25 @@ class GroupRingElement:
         if other is NotImplemented:
             return other
         self._check(other)
-        T = group_tables(self.group)
-        if self.is_rational() and other.is_rational():
-            da, a = _integer_terms(self, T)
-            db, b = _integer_terms(other, T)
-            acc = [0] * len(T.elements)
-            for i, c in a:
-                row = T.prod[i]
+        prod = group_tables(self.group).prod
+        if self.num is not None and other.num is not None:
+            b = [(j, d) for j, d in enumerate(other.num) if d]
+            acc = [0] * len(prod)
+            for i, c in enumerate(self.num):
+                if c:
+                    row = prod[i]
+                    for j, d in b:
+                        acc[row[j]] += c * d
+            return self._rational(self.group, acc, self.den * other.den)
+        b = [(j, d) for j, d in enumerate(other._coefficients()) if d]
+        out = [None] * len(prod)
+        for i, c in enumerate(self._coefficients()):
+            if c:
+                row = prod[i]
                 for j, d in b:
-                    acc[row[j]] += c * d
-            den = da * db
-            return GroupRingElement(
-                self.group, {s: Fraction(v, den) for s, v in zip(T.elements, acc)}
-            )
-        index = T.element_index
-        b = [(index[t], d) for t, d in other.coeffs.items()]
-        out = {}
-        for s, c in self.coeffs.items():
-            row = T.prod[index[s]]
-            for j, d in b:
-                key = row[j]
-                prod = c * d
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return GroupRingElement(self.group, {T.elements[k]: c for k, c in out.items()})
+                    k = row[j]
+                    out[k] = c * d if out[k] is None else out[k] + c * d
+        return self._dense(self.group, [0 if c is None else c for c in out])
 
     __rmul__ = __mul__
 
@@ -219,7 +232,10 @@ class GroupRingElement:
     def involute(self) -> "GroupRingElement":
         """Coefficient at s moves to s^{-1}; an involution, and for abelian G a
         ring automorphism."""
-        return GroupRingElement(self.group, {s.inverse(): c for s, c in self.coeffs.items()})
+        inverse = group_tables(self.group).inverse
+        if self.num is not None:
+            return self._rational(self.group, [self.num[j] for j in inverse], self.den)
+        return self._dense(self.group, [self.values[j] for j in inverse])
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -227,38 +243,24 @@ class GroupRingElement:
             return NotImplemented
         if self.group != other.group:
             return False
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[s] == other.coeffs[s] for s in self.coeffs)
+        if self.num is not None and other.num is not None:
+            return self.num == other.num and self.den == other.den
+        return all(x == y for x, y in zip(self._coefficients(), other._coefficients()))
 
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].exponents)
-        return " + ".join(f"{c}*{s}" for s, c in items)
+        return " + ".join(f"{c}*{s}" for s, c in self.coeffs.items()) or "0"
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
-        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].exponents)
         terms = []
-        for s, c in items:
-            if isinstance(c, CyclotomicNumber):
-                coeff = c.to_json()
-            else:
-                coeff = f"{c.numerator}/{c.denominator}"
+        for s, c in self.coeffs.items():
+            rational = not isinstance(c, CyclotomicNumber)
+            coeff = f"{c.numerator}/{c.denominator}" if rational else c.to_json()
             terms.append({"element": list(s.exponents), "coeff": coeff})
         return {"group": list(self.group.invariant_factors), "terms": terms}
-
-
-def _integer_terms(x: GroupRingElement, T) -> tuple[int, list[tuple[int, int]]]:
-    """(den, [(element index, integer numerator)]) for a rational element:
-    x = sum (numerator / den) * elements[index]."""
-    den = lcm(*(c.denominator for c in x.coeffs.values()))
-    index = T.element_index
-    return den, [(index[s], c.numerator * (den // c.denominator)) for s, c in x.coeffs.items()]
 
 
 class FourierVector:
@@ -299,7 +301,7 @@ def fourier(gamma: GroupRingElement) -> FourierVector:
     T = group_tables(G)
     level = lcm(G.exponent, gamma.coefficient_level())
     roots = _zeta_powers(G.exponent, level)
-    terms = [(T.element_index[s], c) for s, c in gamma.coeffs.items()]
+    terms = [(i, c) for i, c in enumerate(gamma._coefficients()) if c]
     values = {}
     for chi, exps in zip(T.characters, T.value_exponents):
         acc = CyclotomicNumber.rational(0, level)
@@ -318,14 +320,14 @@ def fourier_inverse(vec: FourierVector) -> GroupRingElement:
     level = vec.level
     roots = _zeta_powers(m, level)
     terms = [(T.value_exponents[T.character_index[chi]], v) for chi, v in vec.values.items()]
-    coeffs = {}
-    for i, s in enumerate(T.elements):
+    coeffs = []
+    for i in range(len(T.elements)):
         acc = CyclotomicNumber.rational(0, level)
         for exps, v in terms:
             # chi(s^-1) = zeta_m^(-e)
             acc = acc + roots[-exps[i] % m] * v
-        coeffs[s] = _demote(acc * Fraction(1, G.order))
-    return GroupRingElement(G, coeffs)
+        coeffs.append(_demote(acc * Fraction(1, G.order)))
+    return GroupRingElement._dense(G, coeffs)
 
 
 def try_invert(gamma: GroupRingElement) -> GroupRingElement:
@@ -363,7 +365,8 @@ def _invert_by_orbits(gamma: GroupRingElement) -> GroupRingElement:
     conjugates sigma_k(w)."""
     G = gamma.group
     T = group_tables(G)
-    den, terms = _integer_terms(gamma, T)
+    den = gamma.den
+    terms = [(i, c) for i, c in enumerate(gamma.num) if c]
     values = []
     for rep, d in T.orbits:
         # chi(s) = zeta_m^e with (m/d) | e, i.e. zeta_d^(e/(m/d))
@@ -389,8 +392,7 @@ def _invert_by_orbits(gamma: GroupRingElement) -> GroupRingElement:
         ]
         for i, e in enumerate(exps):
             acc[i] += traces[e // step]
-    total = common * G.order
-    return GroupRingElement(G, {s: Fraction(a, total) for s, a in zip(T.elements, acc)})
+    return GroupRingElement._rational(G, acc, common * G.order)
 
 
 def is_integral_unit(gamma: GroupRingElement) -> bool:
@@ -429,40 +431,41 @@ def class_membership(gamma: GroupRingElement) -> SelfDualityClass:
 
 def invert_by_linear_solve(gamma: GroupRingElement) -> GroupRingElement:
     """Independent inversion oracle: solve gamma * x = 1 in the regular
-    representation over Q by one exact integer elimination. Coefficients in
-    Q(zeta_L), L the coefficient level, enter by restriction of scalars:
-    each becomes the phi(L) x phi(L) matrix of multiplication by it on the
-    power basis, so the system has |G| phi(L) unknowns (|G| for a rational
-    gamma)."""
+    representation over Q by one exact integer elimination. A rational gamma
+    enters as its |G| integer numerators, against the right-hand side den * 1.
+    Coefficients in Q(zeta_L), L the coefficient level, enter by restriction
+    of scalars: each becomes the phi(L) x phi(L) matrix of multiplication by
+    it on the power basis, so the system has |G| phi(L) unknowns."""
     G = gamma.group
     T = group_tables(G)
     level = gamma.coefficient_level()
     phi = euler_phi(level)
     size = len(T.elements) * phi
     mat = [[0] * size for _ in range(size)]
-    for s, c in gamma.coeffs.items():
+    rational = gamma.is_rational()
+    for i, c in enumerate(gamma.num if rational else gamma.values):
+        if not c:
+            continue
         # column k of the block of c: the coordinates of c * zeta^k
         if isinstance(c, CyclotomicNumber):
             cols = [(c * CyclotomicNumber.zeta(level, k)).coeffs for k in range(phi)]
         else:
-            cols = [[c if i == k else 0 for i in range(phi)] for k in range(phi)]
+            cols = [[c if r == k else 0 for r in range(phi)] for k in range(phi)]
         block = list(zip(*cols))
         # gamma * t_j has c at s t_j = elements[k]
-        for j, k in enumerate(T.prod[T.element_index[s]]):
-            for i, block_row in enumerate(block):
-                mat[k * phi + i][j * phi : (j + 1) * phi] = block_row
+        for j, k in enumerate(T.prod[i]):
+            for r, block_row in enumerate(block):
+                mat[k * phi + r][j * phi : (j + 1) * phi] = block_row
     rhs = [0] * size
-    rhs[0] = 1  # zeta^0 times the identity, first in enumeration order
+    rhs[0] = gamma.den if rational else 1  # at zeta^0 times the identity, elements[0]
     try:
         x = linalg.solve(mat, rhs)
     except ValueError as exc:
         raise NotInvertible("regular representation is singular") from exc
-    if phi == 1:
-        coeffs = zip(T.elements, x)
-    else:
-        blocks = (x[j * phi : (j + 1) * phi] for j in range(len(T.elements)))
-        coeffs = ((s, _demote(CyclotomicNumber(level, b))) for s, b in zip(T.elements, blocks))
-    out = GroupRingElement(G, coeffs)
+    if phi > 1:
+        x = [_demote(CyclotomicNumber(level, x[j * phi : (j + 1) * phi]))
+             for j in range(len(T.elements))]
+    out = GroupRingElement._dense(G, x)
     if not (out * gamma == GroupRingElement.one(G)):
         raise ArithmeticError("linear-solve inverse verification failed")
     return out

@@ -7,9 +7,9 @@ chi(s) = zeta_m^e for m = exp(G).
 
 `group_tables(G)` holds, once per group, the enumerations and the integer
 tables that the group-ring and Stickelberger layers read: index maps, the
-product table, character values, character inversion, element orders, the
-centered pairing, the rational character orbits and the determinant-kernel
-basis. Each table is built on first use.
+product table, element inversion, character values, character inversion,
+element orders, the centered pairing, the rational character orbits and the
+determinant-kernel basis. Each table is built on first use.
 """
 
 from __future__ import annotations
@@ -85,7 +85,10 @@ class FiniteAbelianGroup:
         return Character(self, tuple(exponents))
 
     def elements(self, bound: int = DEFAULT_ENUMERATION_BOUND) -> list["GroupElement"]:
-        return enumerate_elements(self, bound)
+        """A fresh list of the elements in `group_tables` order, identity first."""
+        if self.order > min(bound, DEFAULT_ENUMERATION_BOUND):
+            return enumerate_elements(self, bound)
+        return list(group_tables(self).elements)
 
     def characters(self, bound: int = DEFAULT_ENUMERATION_BOUND) -> list["Character"]:
         if self.order > bound:
@@ -236,6 +239,11 @@ class GroupTables:
         )
 
     @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """inverse[i] = index of elements[i]^-1; an involution."""
+        return tuple(self.element_index[s.inverse()] for s in self.elements)
+
+    @cached_property
     def value_exponents(self) -> tuple[tuple[int, ...], ...]:
         """value_exponents[c][i] = e with characters[c](elements[i]) = zeta_m^e."""
         return tuple(
@@ -322,7 +330,7 @@ class GroupTables:
 @lru_cache(maxsize=None)
 def group_tables(group: FiniteAbelianGroup) -> GroupTables:
     """The tables of a group, built once per group and cached."""
-    elements = tuple(group.elements())
+    elements = tuple(enumerate_elements(group))
     characters = tuple(group.characters())
     return GroupTables(
         group,

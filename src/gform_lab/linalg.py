@@ -167,9 +167,10 @@ def _eliminate(mat, ncols: int, above: bool = True):
     rational rows of mat, carrying any trailing columns along; returns
     (integer rows, pivot columns, d).
 
-    Each row is first scaled by the lcm of its denominators (an entry outside
-    Q is a TypeError); d is the product of those multipliers, negated once
-    per row swap. The pivot is the first nonzero entry at or below the
+    All-int rows are taken as they are; a row holding a Fraction is first
+    scaled by the lcm of its denominators (an entry outside Q is a
+    TypeError). d is the product of those multipliers, negated once per row
+    swap. The pivot is the first nonzero entry at or below the
     current row. With pivot p after pivot q, every other row x becomes
     (p*x - x[c]*pivot row)/q: below the pivot only, or above it too when
     `above` is set (Gauss-Jordan). Entries stay minors of the scaled rows, so
@@ -179,12 +180,14 @@ def _eliminate(mat, ncols: int, above: bool = True):
     a = []
     d = 1
     for row in mat:
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"linalg eliminates over Q only, got a {type(x).__name__} entry")
-        den = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
-        d *= den
+        if not all(isinstance(x, int) for x in row):
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"linalg eliminates over Q only, got a {type(x).__name__} entry")
+            den = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+            d *= den
+        a.append(list(row))
     m = len(a)
     pivots = []
     prev = 1

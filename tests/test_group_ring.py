@@ -15,7 +15,7 @@ from gform_lab.group_ring import (
     is_integral_unit,
     try_invert,
 )
-from gform_lab.groups import FiniteAbelianGroup
+from gform_lab.groups import FiniteAbelianGroup, GroupElement, GroupSpecError
 
 C3 = FiniteAbelianGroup((3,))
 C7 = FiniteAbelianGroup((7,))
@@ -190,3 +190,196 @@ def test_text_and_json_forms():
     assert j["group"] == [3, 3]
     assert j["terms"][1]["element"] == [1, 2]
     assert j["terms"][1]["coeff"] == "3/1"
+
+
+# -- the dense storage against a dict-keyed reference --------------------------
+
+
+class DictElement:
+    """Reference group-ring element keyed by GroupElement: the sparse dict
+    storage and the arithmetic the dense storage replaced."""
+
+    def __init__(self, group, coeffs):
+        self.group = group
+        self.coeffs = {}
+        for s, c in coeffs.items():
+            c = Fraction(c) if isinstance(c, int) else c
+            if not (c.is_zero() if isinstance(c, CyclotomicNumber) else c == 0):
+                self.coeffs[s] = c
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for s, c in other.coeffs.items():
+            out[s] = out[s] + c if s in out else c
+        return DictElement(self.group, out)
+
+    def __neg__(self):
+        return DictElement(self.group, {s: -c for s, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for s, c in self.coeffs.items():
+            for t, d in other.coeffs.items():
+                out[s * t] = out[s * t] + c * d if s * t in out else c * d
+        return DictElement(self.group, out)
+
+    def involute(self):
+        return DictElement(self.group, {s.inverse(): c for s, c in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return set(self.coeffs) == set(other.coeffs) and all(
+            c == other.coeffs[s] for s, c in self.coeffs.items()
+        )
+
+    def is_rational(self):
+        return not any(isinstance(c, CyclotomicNumber) for c in self.coeffs.values())
+
+    def coefficient(self, s):
+        return self.coeffs.get(s, Fraction(0))
+
+    def to_json(self):
+        terms = []
+        for s, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].exponents):
+            coeff = c.to_json() if isinstance(c, CyclotomicNumber) else f"{c.numerator}/{c.denominator}"
+            terms.append({"element": list(s.exponents), "coeff": coeff})
+        return {"group": list(self.group.invariant_factors), "terms": terms}
+
+
+def _rand_coefficient(rng, kind):
+    if kind == "int":
+        return rng.randrange(-4, 5)
+    if kind == "fraction":
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    if kind == "zero-cyclotomic":
+        return CyclotomicNumber.rational(0, 7)
+    if kind == "rational-cyclotomic":
+        return CyclotomicNumber.rational(Fraction(rng.randrange(1, 5), 2), 9)
+    z = CyclotomicNumber.zeta(rng.choice((7, 9)))
+    return rng.randrange(-2, 3) + rng.randrange(1, 3) * z ** rng.randrange(1, 6)
+
+
+def _rand_pair(G, rng, kinds):
+    coeffs = {s: _rand_coefficient(rng, rng.choice(kinds)) for s in G.elements()}
+    return GroupRingElement(G, coeffs), DictElement(G, coeffs)
+
+
+def _assert_same(x, ref):
+    G = x.group
+    for s in G.elements():
+        c, r = x.coefficient(s), ref.coefficient(s)
+        assert type(c) is type(r) and c == r, (s, c, r)
+    assert x.is_rational() == ref.is_rational()
+    assert x.coeffs == ref.coeffs
+    assert x.to_json() == ref.to_json()
+
+
+KIND_MIXES = [
+    ("int",),
+    ("int", "fraction"),
+    ("fraction", "zero-cyclotomic"),
+    ("int", "rational-cyclotomic"),
+    ("int", "fraction", "cyclotomic", "zero-cyclotomic", "rational-cyclotomic"),
+]
+
+
+@pytest.mark.parametrize("G", [C3, C9, C33], ids=str)
+def test_dense_storage_matches_dict_reference(G):
+    rng = random.Random(21)
+    for kinds in KIND_MIXES:
+        for _ in range(6):
+            a, ra = _rand_pair(G, rng, kinds)
+            b, rb = _rand_pair(G, rng, kinds)
+            _assert_same(a, ra)
+            for x, ref in ((a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                           (a * b, ra * rb), (a.involute(), ra.involute())):
+                _assert_same(x, ref)
+            assert (a == b) == (ra == rb)
+            assert a == GroupRingElement(G, ra.coeffs)
+
+
+def test_dense_storage_edge_cases():
+    e, s = C3.identity(), C3.element((1,))
+    # an all-zero cyclotomic coefficient is dropped, so the element is rational
+    zero_cyclo = GroupRingElement(C3, {e: 2, s: CyclotomicNumber.rational(0, 7)})
+    assert zero_cyclo.is_rational()
+    assert zero_cyclo.coeffs == {e: 2}
+    assert GroupRingElement(C3, {s: CyclotomicNumber.zeta(7) - CyclotomicNumber.zeta(7)}).is_zero()
+    # a nonzero rational-valued cyclotomic coefficient keeps the element
+    # non-rational until it is demoted
+    cyclo = GroupRingElement(C3, {e: CyclotomicNumber.rational(2, 7)})
+    rational = GroupRingElement.scalar(C3, 2)
+    assert not cyclo.is_rational() and rational.is_rational()
+    assert cyclo == rational and rational == cyclo
+    assert cyclo.demoted().is_rational() and cyclo.demoted() == rational
+    assert cyclo.to_json() != rational.to_json()
+    assert type(cyclo.coefficient(e)) is CyclotomicNumber
+    assert type(rational.coefficient(e)) is Fraction
+    assert rational != GroupRingElement.scalar(C3, 3)
+    # lowest terms: equal values stored over the same denominator
+    half = GroupRingElement(C3, {e: Fraction(1, 2), s: Fraction(3, 2)})
+    assert (half + half).den == 1 and (half + half).num == (1, 3, 0)
+    assert str(GroupRingElement.zero(C3)) == "0"
+
+
+def test_coeffs_is_a_derived_copy():
+    s = C3.element((1,))
+    gamma = GroupRingElement(C3, {s: 5})
+    gamma.coeffs[s] = 7
+    gamma.coeffs[C3.identity()] = 1
+    assert gamma == GroupRingElement.from_element(s, 5)
+    with pytest.raises(AttributeError):
+        gamma.num = (0, 0, 0)
+
+
+def test_foreign_keys_and_elements_raise_group_spec_error():
+    with pytest.raises(GroupSpecError):
+        GroupRingElement(C3, {C9.identity(): 1})
+    with pytest.raises(GroupSpecError):
+        GroupRingElement(C3, {(0,): 1})
+    gamma = GroupRingElement.one(C3)
+    for foreign in (C9.element((1,)), C33.identity()):
+        with pytest.raises(GroupSpecError) as exc:
+            gamma.coefficient(foreign)
+        assert not isinstance(exc.value, KeyError)
+    with pytest.raises(TypeError):
+        GroupRingElement(C3, {C3.identity(): 1.5})
+
+
+# -- operation counts: the rational paths hash no group element ----------------
+
+
+def _invertible_rational(G, rng):
+    while True:
+        gamma = rand_element(G, rng)
+        try:
+            try_invert(gamma)
+        except NotInvertible:
+            continue
+        return gamma
+
+
+@pytest.mark.parametrize("G", [C9, C33], ids=str)
+def test_rational_paths_hash_no_group_element(G, monkeypatch):
+    rng = random.Random(22)
+    a, b = _invertible_rational(G, rng), rand_element(G, rng)
+
+    def run():
+        a * b, a.involute(), try_invert(a), invert_by_linear_solve(a)
+
+    run()  # builds every table of group_tables(G) on the way
+    calls = []
+    original = GroupElement.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GroupElement, "__hash__", counting_hash)
+    GroupRingElement(G, {G.identity(): 1})  # the dict edge does hash
+    assert calls
+    calls.clear()
+    run()
+    assert calls == []

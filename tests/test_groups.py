@@ -50,6 +50,27 @@ def test_enumeration_bound():
         enumerate_elements(big)
 
 
+def test_elements_is_a_fresh_copy_of_the_tables():
+    G = FiniteAbelianGroup((3, 9))
+    first = G.elements()
+    assert first is not G.elements()
+    assert first[0].is_identity
+    first.reverse()
+    first.pop()
+    T = group_tables(G)
+    assert len(T.elements) == 27 and T.elements[0].is_identity
+    assert G.elements() == list(T.elements) == enumerate_elements(G)
+
+
+@pytest.mark.parametrize("facs, bound", [((5, 25), 100), ((101, 101), None)])
+def test_elements_bound_is_checked_before_any_table(facs, bound):
+    G = FiniteAbelianGroup(facs)
+    before = group_tables.cache_info().currsize
+    with pytest.raises(EnumerationBoundError):
+        G.elements() if bound is None else G.elements(bound)
+    assert group_tables.cache_info().currsize == before
+
+
 def test_element_arithmetic_and_order():
     g = FiniteAbelianGroup((3, 9))
     s = g.element((1, 2))
@@ -131,12 +152,13 @@ def test_group_tables_match_direct_computation(facs):
     G = FiniteAbelianGroup(facs)
     T = group_tables(G)
     assert group_tables(G) is T
-    assert list(T.elements) == G.elements()
+    assert list(T.elements) == G.elements() == enumerate_elements(G)
     assert list(T.characters) == G.characters()
     assert all(T.element_index[s] == i for i, s in enumerate(T.elements))
     assert all(T.character_index[chi] == i for i, chi in enumerate(T.characters))
     for i, s in enumerate(T.elements):
         assert T.orders[i] == s.order()
+        assert T.elements[T.inverse[i]] == s.inverse() and T.inverse[T.inverse[i]] == i
         for j, t in enumerate(T.elements):
             assert T.elements[T.prod[i][j]] == s * t
     m = G.exponent

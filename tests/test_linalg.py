@@ -291,6 +291,30 @@ def test_solve_matches_sympy():
     assert all(edge.values()), edge
 
 
+def test_det_and_solve_on_int_mixed_and_bool_entries_match_sympy():
+    # all-int rows enter the elimination as they are, rows holding a Fraction
+    # get their denominators cleared, and bools count as the ints 0 and 1
+    rng = random.Random(15)
+    kinds = {"unique": 0, "rank": 0, "inconsistent": 0}
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        m = n + rng.randint(0, 2)
+        shape = trial % 3
+        if shape == 0:
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        elif shape == 1:
+            M = [[_rand_fraction(rng) if rng.random() < 0.3 else rng.randint(-9, 9)
+                  for _ in range(n)] for _ in range(m)]
+        else:
+            M = [[rng.random() < 0.5 for _ in range(n)] for _ in range(m)]
+        if trial % 4 == 0 and m > 1:
+            M[-1] = list(M[0])
+        _check_det_and_inverse(M[:n])
+        rhs = [rng.randint(-3, 3) if shape < 2 else rng.random() < 0.5 for _ in range(m)]
+        _check_solve(M, rhs, kinds)
+    assert all(kinds.values()), kinds
+
+
 def _check_independent_rows(M, expected):
     assert linalg.independent_rows(M) == expected
     if len(expected) == len(M[0]):
@@ -320,7 +344,11 @@ def test_elimination_rejects_entries_outside_q():
     z = CyclotomicNumber.zeta(7)
     for call in (lambda: linalg.det([[1, z], [0, 1]]),
                  lambda: linalg.solve([[z, 0], [0, 1]], [1, 1]),
-                 lambda: linalg.solve([[1, 0], [0, 1]], [z, 1])):
+                 lambda: linalg.solve([[1, 0], [0, 1]], [z, 1]),
+                 # all-int rows skip denominator clearing, but not the type check
+                 lambda: linalg.det([[1, 2, 3], [4, z, 6], [7, 8, 10]]),
+                 lambda: linalg.inverse([[2, 0], [0, z]]),
+                 lambda: linalg.solve([[1, 0], [0, 1], [1, 1]], [1, 2, z])):
         with pytest.raises(TypeError) as exc:
             call()
         assert "\n" not in str(exc.value)
