@@ -118,10 +118,14 @@ class GroupRingElement:
         """Every coefficient, a Fraction or a CyclotomicNumber, in index order."""
         return self.values if self.num is None else tuple(Fraction(x, self.den) for x in self.num)
 
+    def _terms(self):
+        """(GroupElement, coefficient) for each nonzero coefficient, in index order."""
+        return ((s, c) for s, c in zip(group_tables(self.group).elements, self._coefficients()) if c)
+
     @property
     def coeffs(self) -> dict:
         """The nonzero coefficients as a fresh {GroupElement: coefficient} dict."""
-        return {s: c for s, c in zip(group_tables(self.group).elements, self._coefficients()) if c}
+        return dict(self._terms())
 
     def coefficient(self, s: GroupElement):
         if (i := group_tables(self.group).element_index.get(s)) is None:
@@ -250,13 +254,13 @@ class GroupRingElement:
     __hash__ = None
 
     def __str__(self) -> str:
-        return " + ".join(f"{c}*{s}" for s, c in self.coeffs.items()) or "0"
+        return " + ".join(f"{c}*{s}" for s, c in self._terms()) or "0"
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
         terms = []
-        for s, c in self.coeffs.items():
+        for s, c in self._terms():
             rational = not isinstance(c, CyclotomicNumber)
             coeff = f"{c.numerator}/{c.denominator}" if rational else c.to_json()
             terms.append({"element": list(s.exponents), "coeff": coeff})

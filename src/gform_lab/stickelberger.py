@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import linalg
 from .arith import euler_phi, unit_group_generators, units_mod
 from .cyclotomic import CyclotomicNumber
 from .groups import (
     Character,
-    EnumerationBoundError,
     FiniteAbelianGroup,
     GroupElement,
     GroupSpecError,
@@ -217,6 +217,63 @@ def integrality_check(psi: DualLatticeElement, propcheck: bool = False) -> bool:
     return integral
 
 
+@dataclass(frozen=True)
+class IntegralityCertificate:
+    """The lattice of integrality of a group compared with its determinant
+    kernel: `lattice` is the canonical basis of L_int, and `counterexample`
+    is None exactly when L_int equals the kernel."""
+
+    group: FiniteAbelianGroup
+    lattice: tuple[tuple[int, ...], ...]
+    counterexample: DualLatticeElement | None
+
+    @property
+    def holds(self) -> bool:
+        return self.counterexample is None
+
+    def to_json(self) -> dict:
+        psi = self.counterexample
+        if psi is None:
+            return {"lattice_equals_kernel": True, "index": self.group.order}
+        return {
+            "lattice_equals_kernel": False,
+            "counterexample": list(psi.coeffs),
+            "integral": integrality_check(psi),
+            "det_trivial": psi.det().is_trivial,
+        }
+
+
+def integrality_certificate(group: FiniteAbelianGroup) -> IntegralityCertificate:
+    """Certify, for every psi in Z^n at once, that the Stickelberger image of
+    psi is integral exactly when det(psi) = 1.
+
+    The psi with integral image form the lattice L_int = {psi : sum_c psi_c *
+    upsilon[c][i] = 0 mod |s_i| for every i}, the preimage of Z under the
+    rows m*I and (m/|s_i|) * (upsilon column i) over m = exp(G). Its
+    canonical basis is compared with `kernel_basis`, whose index |G| and
+    det = 1 on every row are verified; canonical bases are equal exactly when
+    the lattices are. When they differ, a basis row of one lies outside the
+    other, and the first basis row of either on which integrality_check and
+    det disagree is returned as the counterexample."""
+    _require_odd(group)
+    T = group_tables(group)
+    n, m = group.order, group.exponent
+    mat = [[m * int(i == j) for j in range(n)] for i in range(n)]
+    for i, o in enumerate(T.orders):
+        mat.append([row[i] * (m // o) for row in T.upsilon])
+    rows, den = linalg.preimage_lattice(mat, m)
+    if den != 1:
+        raise ArithmeticError("lattice of integrality is not integral")
+    lattice = tuple(tuple(row) for row in rows)
+    if lattice == T.kernel_basis:
+        return IntegralityCertificate(group, lattice, None)
+    for row in lattice + T.kernel_basis:
+        psi = DualLatticeElement(group, row)
+        if integrality_check(psi) != psi.det().is_trivial:
+            return IntegralityCertificate(group, lattice, psi)
+    raise ArithmeticError("the lattices differ, but no basis row separates integrality from det = 1")
+
+
 # ---------------------------------------------------------------------------
 # equivariant maps and the transpose
 
@@ -406,87 +463,3 @@ def image_selfdual_check(f: EquivariantMap) -> bool:
         if not (pos == neg):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# vectorized sweeps (numpy, exact integer arithmetic)
-
-
-def _pairing_data(group: FiniteAbelianGroup):
-    import numpy as np
-
-    T = group_tables(group)
-    ups = np.array(T.upsilon, dtype=np.int64)
-    orders = np.array(T.orders, dtype=np.int64)
-    char_exps = np.array([list(chi.exponents) for chi in T.characters], dtype=np.int64)
-    facs = np.array(list(group.invariant_factors), dtype=np.int64)
-    return ups, orders, char_exps, facs
-
-
-_INT64_MAX = (1 << 63) - 1
-
-
-def integrality_sweep_exhaustive(
-    group: FiniteAbelianGroup, coeff_bound: int, chunk: int = 1 << 18
-) -> tuple[int, int]:
-    """Exhaustively check, over all psi with coefficients in
-    [-coeff_bound, coeff_bound], that the Stickelberger image is integral
-    exactly when det(psi) is trivial. Returns (total vectors, kernel hits);
-    raises AssertionError on any mismatch. Integer-only numpy arithmetic; a
-    sweep whose (2 * coeff_bound + 1)**|G| vectors cannot be indexed in int64
-    raises EnumerationBoundError before anything is allocated.
-    """
-    import numpy as np
-
-    _require_odd(group)
-    n = group.order
-    width = 2 * coeff_bound + 1
-    total = width**n
-    if total > _INT64_MAX:
-        raise EnumerationBoundError(
-            f"sweep of {width}**{n} vectors does not fit int64; lower coeff_bound"
-        )
-    ups, orders, char_exps, facs = _pairing_data(group)
-    hits = 0
-    powers = width ** np.arange(n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        psis = (idx[:, None] // powers[None, :]) % width - coeff_bound
-        theta_num = psis @ ups  # numerator of <psi, s> * |s|
-        integral = np.all(theta_num % orders[None, :] == 0, axis=1)
-        dets = psis @ char_exps
-        trivial = np.all(dets % facs[None, :] == 0, axis=1)
-        if not np.array_equal(integral, trivial):
-            bad = int(np.nonzero(integral != trivial)[0][0])
-            raise AssertionError(f"mismatch at psi = {psis[bad].tolist()}")
-        hits += int(trivial.sum())
-    return total, hits
-
-
-def integrality_sweep_random(
-    group: FiniteAbelianGroup, count: int, coeff_bound: int, rng
-) -> tuple[int, int]:
-    """Seeded random version of the exhaustive sweep; also cross-checks a few
-    vectors against the exact Fraction path."""
-    import numpy as np
-
-    _require_odd(group)
-    ups, orders, char_exps, facs = _pairing_data(group)
-    n = group.order
-    psis = np.array(
-        [[rng.randrange(-coeff_bound, coeff_bound + 1) for _ in range(n)] for _ in range(count)],
-        dtype=np.int64,
-    )
-    theta_num = psis @ ups
-    integral = np.all(theta_num % orders[None, :] == 0, axis=1)
-    dets = psis @ char_exps
-    trivial = np.all(dets % facs[None, :] == 0, axis=1)
-    if not np.array_equal(integral, trivial):
-        bad = int(np.nonzero(integral != trivial)[0][0])
-        raise AssertionError(f"mismatch at psi = {psis[bad].tolist()}")
-    # cross-check a sample against the scalar exact path
-    for i in range(0, count, max(1, count // 10)):
-        psi = DualLatticeElement(group, tuple(int(x) for x in psis[i]))
-        if integrality_check(psi, propcheck=True) != bool(integral[i]):
-            raise AssertionError("vectorized sweep disagrees with exact path")
-    return count, int(trivial.sum())

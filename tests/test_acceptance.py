@@ -10,7 +10,7 @@ from gform_lab.suites import CHECKS, SuiteConfig, run_suite
 CONFIG = SuiteConfig(seed=1, conductor_bound=100)
 
 # artifact_hash of `gform-lab propcheck all --seed 1`
-ARTIFACT_HASH = "17c308c34ae6c5be33ccc521e1fe70445f9cc55dcf0581d2d1b1a5f82be42b40"
+ARTIFACT_HASH = "bff19dd50eec5ad37c621876c1460f21a49cbc42bab413202b5dd14110fb40bc"
 
 CRITERIA = [
     # (check id, human label, budget in seconds)

@@ -367,7 +367,7 @@ def test_rational_paths_hash_no_group_element(G, monkeypatch):
     a, b = _invertible_rational(G, rng), rand_element(G, rng)
 
     def run():
-        a * b, a.involute(), try_invert(a), invert_by_linear_solve(a)
+        a * b, a.involute(), try_invert(a), invert_by_linear_solve(a), a.to_json(), str(a)
 
     run()  # builds every table of group_tables(G) on the way
     calls = []

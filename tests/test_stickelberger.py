@@ -1,12 +1,16 @@
+import copy
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gform_lab import linalg
+from gform_lab import stickelberger as stk
 from gform_lab.arith import euler_phi
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.groups import (
-    EnumerationBoundError,
     FiniteAbelianGroup,
     character_value_exponent,
     group_tables,
@@ -18,15 +22,15 @@ from gform_lab.stickelberger import (
     det_kernel_basis,
     equivariance_check,
     image_selfdual_check,
+    integrality_certificate,
     integrality_check,
-    integrality_sweep_exhaustive,
-    integrality_sweep_random,
     pairing,
     pairing_char,
     stickelberger_map,
     transpose_value,
     upsilon,
 )
+from gform_lab.suites import ACCEPTANCE_GROUPS, SuiteConfig, run_check
 
 C3 = FiniteAbelianGroup((3,))
 C5 = FiniteAbelianGroup((5,))
@@ -165,35 +169,75 @@ def test_integrality_examples():
     assert integrality_check(dual(C3, (1, 0, 0)), propcheck=True)
 
 
+def numpy_oracle(G):
+    """An int64 numpy oracle over rows of psi: asserts that an integral
+    Stickelberger image, det(psi) = 1 and membership in the certified
+    lattice (psi @ B^-1 integral) agree on every row, and returns the number
+    of kernel rows."""
+    cert = integrality_certificate(G)
+    assert cert.holds
+    T = group_tables(G)
+    ups = np.array(T.upsilon, dtype=np.int64)
+    orders = np.array(T.orders, dtype=np.int64)
+    char_exps = np.array([chi.exponents for chi in T.characters], dtype=np.int64)
+    facs = np.array(G.invariant_factors, dtype=np.int64)
+    binv, bden = linalg.inverse([list(row) for row in cert.lattice])
+    binv = np.array(binv, dtype=np.int64)
+
+    def kernel_hits(psis):
+        integral = np.all((psis @ ups) % orders == 0, axis=1)
+        trivial = np.all((psis @ char_exps) % facs == 0, axis=1)
+        member = np.all((psis @ binv) % bden == 0, axis=1)
+        bad = np.nonzero((integral != trivial) | (member != trivial))[0]
+        assert not len(bad), f"mismatch at psi = {psis[bad[0]].tolist()}"
+        return int(trivial.sum())
+
+    return kernel_hits
+
+
+def numpy_box_sweep(G, bound, chunk=1 << 18):
+    """(total, kernel hits) of the numpy oracle over every psi in
+    [-bound, bound]^|G|, enumerated in int64 chunks."""
+    kernel_hits = numpy_oracle(G)
+    width = 2 * bound + 1
+    total = width**G.order
+    powers = width ** np.arange(G.order, dtype=np.int64)
+    hits = 0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        hits += kernel_hits((idx[:, None] // powers[None, :]) % width - bound)
+    return total, hits
+
+
 @pytest.mark.parametrize("facs", [(3,), (5,), (7,)])
 def test_integrality_equivalence_exhaustive_box3(facs):
     G = FiniteAbelianGroup(facs)
-    total, hits = integrality_sweep_exhaustive(G, 3)
+    total, hits = numpy_box_sweep(G, 3)
     assert total == 7**G.order
     assert 0 < hits < total
 
 
 def test_exhaustive_sweep_balanced_box():
     # a box aligned with the kernel index: width 3 box over C3 splits evenly
-    total, hits = integrality_sweep_exhaustive(C3, 1)
-    assert total == 27 and hits == 9
+    assert numpy_box_sweep(C3, 1) == (27, 9)
 
 
 @pytest.mark.parametrize("facs", [(9,), (3, 3)])
 def test_integrality_equivalence_random_box3(facs):
     G = FiniteAbelianGroup(facs)
     rng = random.Random(17)
-    count, hits = integrality_sweep_random(G, 5000, 3, rng)
-    assert count == 5000
-    assert hits >= 1  # zero vector shows up with overwhelming probability
+    psis = np.array(
+        [[rng.randrange(-3, 4) for _ in range(G.order)] for _ in range(5000)], dtype=np.int64
+    )
+    assert numpy_oracle(G)(psis) >= 1  # zero vector shows up with overwhelming probability
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("facs", [(9,), (3, 3)])
 def test_integrality_equivalence_exhaustive_box3_rank9(facs):
-    # the full 7^9 = 40M sweep; about half a minute per group
+    # the full 7^9 = 40M-vector box through the numpy oracle
     G = FiniteAbelianGroup(facs)
-    total, hits = integrality_sweep_exhaustive(G, 3, chunk=1 << 19)
+    total, hits = numpy_box_sweep(G, 3, chunk=1 << 19)
     assert total == 7**9
     assert 0 < hits < total
 
@@ -466,10 +510,64 @@ def test_image_selfdual_check_takes_no_cyclotomic_product(G, monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("bound,width", [(64, 129), (100, 201), (200, 401)])
-def test_exhaustive_sweep_rejects_an_int64_overflow(bound, width):
-    # width**9 > 2**63 - 1 vectors (129**9 is about 9.9e18, 201**9 about
-    # 5.4e20): rejected before anything is allocated
-    with pytest.raises(EnumerationBoundError, match=rf"{width}\*\*9 vectors"):
-        integrality_sweep_exhaustive(C33, bound)
-    assert issubclass(EnumerationBoundError, ValueError)
+# -- C1: the lattice of integrality equals the determinant kernel ------------
+
+
+@pytest.mark.parametrize("G", ODD_GROUPS, ids=str)
+def test_integrality_certificate_holds_on_odd_groups(G):
+    cert = integrality_certificate(G)
+    assert cert.holds
+    assert cert.lattice == group_tables(G).kernel_basis
+    assert cert.to_json() == {"lattice_equals_kernel": True, "index": G.order}
+
+
+def in_hnf_span(basis, v):
+    """Whether the integer vector v lies in the lattice of a full-rank HNF
+    basis, by clearing the pivots in turn."""
+    v = list(v)
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[p], row[p])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("G", [C3, C5, C7, C9, C33], ids=str)
+def test_lattice_membership_integrality_and_det_agree(G):
+    # the whole box [-1, 1]^|G| up to order 7, a seeded sample above
+    if G.order <= 7:
+        psis = itertools.product((-1, 0, 1), repeat=G.order)
+    else:
+        rng = random.Random(29)
+        psis = [[rng.randint(-3, 3) for _ in range(G.order)] for _ in range(400)]
+    lattice = integrality_certificate(G).lattice
+    hits = 0
+    for coeffs in psis:
+        psi = dual(G, coeffs)
+        member = in_hnf_span(lattice, coeffs)
+        assert member == integrality_check(psi) == psi.det().is_trivial, coeffs
+        hits += member
+    assert hits > 1
+
+
+@pytest.mark.parametrize("facs", ACCEPTANCE_GROUPS, ids=str)
+def test_c1_reports_a_perturbed_upsilon_with_a_counterexample(facs, monkeypatch):
+    # one upsilon entry off by 1, on a copy of the tables that the
+    # stickelberger module reads for this group only
+    G = FiniteAbelianGroup(facs)
+    T = group_tables(G)
+    ups = [list(row) for row in T.upsilon]
+    ups[1][1] += 1
+    mutated = copy.copy(T)
+    mutated.__dict__["upsilon"] = tuple(tuple(row) for row in ups)
+    monkeypatch.setattr(stk, "group_tables", lambda H: mutated if H == G else group_tables(H))
+    result = run_check("C1", SuiteConfig(groups=(facs,)))
+    assert result.status == "fail"
+    entry = result.details[str(G)]
+    assert entry["lattice_equals_kernel"] is False
+    psi = dual(G, entry["counterexample"])
+    integral, trivial = integrality_check(psi), psi.det().is_trivial
+    assert integral != trivial
+    assert (entry["integral"], entry["det_trivial"]) == (integral, trivial)

@@ -86,8 +86,28 @@ def test_cli_stickelberger_table(tmp_path):
     assert doc["group"] == [3, 9]
     assert len(doc["pairs"]) == 27 * 27
     assert len(doc["s_hat_basis"]) == 27
+    assert doc["checks"]["integrality_matches_kernel"] == {
+        "lattice_equals_kernel": True,
+        "index": 27,
+    }
     assert doc["checks"]["twist_equivariance"] is True
     assert doc["checks"]["transpose_self_dual"] is True
+
+
+def test_stickelberger_suite_and_table_import_no_numpy(tmp_path):
+    # numpy is a test extra only: the library's integrality path is exact
+    # lattice arithmetic in pure Python
+    code = "\n".join([
+        "import sys",
+        "from gform_lab.cli import main",
+        "from gform_lab.suites import run_suite",
+        "assert run_suite('stickelberger').passed",
+        f"assert main(['stickelberger', 'table', '--group', '3,9', '--out', {str(tmp_path / 't.json')!r}]) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_field_analyze():
@@ -133,7 +153,7 @@ CLI_REPORT_HASHES = [
                  "f8212f8d21776d1e1c6a0e9eeef0290718ea2fb854b5222c31669f33ede8129d",
                  id="compose-7-13"),
     pytest.param(("stickelberger", "table", "--group", "3,3"),
-                 "3abb091416466689441eb4ae232a2aee4d1ace55c2087e93b63482758d2a8bfc",
+                 "64f90c747763b2b2575529359340972bdcaadefa81c8756b79d3ed67cab834dc",
                  id="stickelberger-table-3-3"),
 ]
 
