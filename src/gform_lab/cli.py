@@ -77,7 +77,12 @@ def cmd_stickelberger(args) -> int:
         "checks": checks,
     }
     _emit(doc, args)
-    return 0
+    passed = (
+        checks["integrality_matches_kernel"]["lattice_equals_kernel"]
+        and checks["twist_equivariance"]
+        and checks["transpose_self_dual"]
+    )
+    return 0 if passed else 1
 
 
 def cmd_field(args) -> int:

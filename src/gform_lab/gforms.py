@@ -132,9 +132,18 @@ def standard_form(group: FiniteAbelianGroup) -> GForm:
 
 def gform_from_A(field: PeriodField, hom: HomToG | None = None) -> GForm:
     """The trace form on the square root of the inverse different, in the
-    coordinates of its HNF basis; unimodularity is asserted."""
+    coordinates of its HNF basis; unimodularity is asserted. Built and
+    verified once per field and identification, in the field's ideal memo;
+    a failed check raises and stores nothing."""
     if hom is None:
         hom = HomToG.standard(field)
+    memo = field._ideal_memo
+    if hom not in memo:
+        memo[hom] = _build_gform_from_A(field, hom)
+    return memo[hom]
+
+
+def _build_gform_from_A(field: PeriodField, hom: HomToG) -> GForm:
     A = sqrt_inverse_different(field)
     p = field.degree
     B = [list(r) for r in A.num]

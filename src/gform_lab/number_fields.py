@@ -19,14 +19,22 @@ known in advance: the prime is {v : Frob(v) = 0 mod ell}, the preimage of
 matrices, and a trace dual the ideal rows times the trace Gram, over the
 ideal's denominator.
 
-Each field keeps one memo of its ideal layer, filled on first use and never
-shared between field objects: the prime P over each ramified ell, and the
-pair (different, A). Every ramified prime is tame and totally ramified, so
-Hilbert's formula is closed: P^p = ell*O, the different is prod P^(p-1), and
-A = prod P^(-(p-1)/2) = (1/f) prod P^((p+1)/2) needs no ideal inversion. The
-checks run once per field, when the memo is filled: each P has norm ell and
-P^p = ell*O; the different times the trace dual of O is O; and A*A is that
-trace dual. A failed check raises and leaves nothing in the memo.
+`build_field` interns its fields: one verified `PeriodField` per (degree,
+conductor, generator, character) in a process, so a field requested again,
+directly or as the composite of `compose_fields`, is the same object, and
+its tables and discriminant certificate are built once. Like `group_tables`,
+the store is unbounded. The level cap is checked on every request, before
+the lookup.
+
+Each field keeps one memo of its ideal layer, filled on first use and shared
+by every caller of the interned field: the prime P over each ramified ell,
+the pair (different, A), and the A-form of each identification
+(`gforms.gform_from_A`). Every ramified prime is tame and totally ramified,
+so Hilbert's formula is closed: P^p = ell*O, the different is prod P^(p-1),
+and A = prod P^(-(p-1)/2) = (1/f) prod P^((p+1)/2) needs no ideal inversion.
+The checks run once per field, when the memo is filled: each P has norm ell
+and P^p = ell*O; the different times the trace dual of O is O; and A*A is
+that trace dual. A failed check raises and leaves nothing in the memo.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
 from . import linalg
 from .arith import (
@@ -48,7 +57,7 @@ from .arith import (
     primitive_root,
     units_mod,
 )
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _check_level
 from .groups import FiniteAbelianGroup, GroupElement
 
 
@@ -58,12 +67,13 @@ class FieldConstructionError(ValueError):
 
 class PeriodField:
     """Cyclic degree-p subfield of Q(zeta_f) with its period basis, exact
-    integer multiplication table, and trace Gram matrix."""
+    integer multiplication table, and trace Gram matrix. `build_field` shares
+    one instance between callers, so the character is a read-only mapping."""
 
     def __init__(self, degree: int, conductor: int, character: dict[int, int], generator: int):
         self.degree = degree
         self.conductor = conductor
-        self.character = dict(character)
+        self.character = MappingProxyType(dict(character))
         self.generator = generator
         self.ramified_primes = tuple(p for p, _ in factorize(conductor))
 
@@ -80,7 +90,8 @@ class PeriodField:
         self._init_expansion()
         self._init_tables()
         # the ideal layer, built and verified on first use: ell -> the prime
-        # over ell (`prime_above`), "hilbert" -> (different, A)
+        # over ell (`prime_above`), "hilbert" -> (different, A), a HomToG ->
+        # the A-form of that identification (`gforms.gform_from_A`)
         self._ideal_memo = {}
 
     # -- construction internals ------------------------------------------
@@ -214,10 +225,16 @@ class PeriodField:
         return f"PeriodField(degree={self.degree}, conductor={self.conductor})"
 
 
+# every field `build_field` has verified in this process, by (degree,
+# conductor, generator, character items)
+_FIELDS: dict[tuple, PeriodField] = {}
+
+
 def build_field(degree: int, conductor: int, generator: int | None = None,
                 character: dict[int, int] | None = None) -> PeriodField:
-    """Construct the canonical (or a chosen) cyclic degree-p field of the
-    given squarefree conductor inside Q(zeta_f)."""
+    """The canonical (or a chosen) cyclic degree-p field of the given
+    squarefree conductor inside Q(zeta_f), built and verified once per
+    process: an equal request returns the same object."""
     p, f = degree, conductor
     if not is_prime(p) or p == 2:
         raise FieldConstructionError(f"degree {p} must be an odd prime")
@@ -244,7 +261,12 @@ def build_field(degree: int, conductor: int, generator: int | None = None,
         raise FieldConstructionError("character is not surjective onto Z/p")
     if generator is None:
         generator = min(x for x, v in character.items() if v == 1)
-    return PeriodField(p, f, character, generator)
+    # the cap holds on a hit too, so no call's outcome depends on earlier ones
+    _check_level(f)
+    key = (p, f, generator, frozenset(character.items()))
+    if key not in _FIELDS:
+        _FIELDS[key] = PeriodField(p, f, character, generator)
+    return _FIELDS[key]
 
 
 class FractionalIdeal:

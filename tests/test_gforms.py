@@ -10,6 +10,7 @@ from gform_lab.gforms import (
     gform_from_A,
     is_self_dual_generator,
     isometry_equivalence,
+    product_law,
     self_dual_generator,
     standard_form,
     verify_inverse_law,
@@ -17,7 +18,7 @@ from gform_lab.gforms import (
     witness_element,
 )
 from gform_lab.groups import FiniteAbelianGroup
-from gform_lab.number_fields import HomToG, build_field, sqrt_inverse_different
+from gform_lab.number_fields import HomToG, build_field, compose_fields, sqrt_inverse_different
 from gform_lab.resolvends import is_self_dual, stickelberger_factorization_check
 
 C3 = FiniteAbelianGroup((3,))
@@ -188,6 +189,58 @@ def test_factorization_check_conductor7(k7):
     # the identity branch (dividing by nothing) must fail for a ramified field
     trivial = stickelberger_factorization_check(a, branch=a.group.identity())
     assert not trivial.passed
+
+
+def test_one_field_construction_per_field(monkeypatch):
+    import gform_lab.number_fields as nf
+
+    # an empty field store for this test, as in a fresh process
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    built = []
+    init = nf.PeriodField.__init__
+
+    def counting_init(self, degree, conductor, character, generator):
+        built.append((degree, conductor))
+        init(self, degree, conductor, character, generator)
+
+    monkeypatch.setattr(nf.PeriodField, "__init__", counting_init)
+    assert verify_inverse_law(build_field(3, 91))
+    assert verify_weak_multiplicativity(build_field(3, 7), build_field(3, 13))
+    form = gform_from_A(build_field(3, 7))
+    result = stickelberger_factorization_check(witness_element(form, find_self_dual_generator(form)))
+    assert result.passed
+    # the composite of 7 and 13 is the field of conductor 91 built first
+    assert built == [(3, 91), (3, 7), (3, 13)]
+    K7, K13 = build_field(3, 7), build_field(3, 13)
+    assert product_law(K7, K13).composite is build_field(3, 91)
+    # weights (1, 2) cut out another field of conductor 91
+    assert compose_fields(K7, K13, weights=(1, 2)) is not build_field(3, 91)
+    assert built == [(3, 91), (3, 7), (3, 13), (3, 91)]
+
+
+def test_gform_from_A_is_built_once_per_identification(monkeypatch):
+    import gform_lab.gforms as gf
+    import gform_lab.number_fields as nf
+
+    # built directly, not interned, so that its memo starts empty
+    K7 = build_field(3, 7)
+    K = nf.PeriodField(3, 7, K7.character, K7.generator)
+    hom = HomToG.standard(K)
+    A = sqrt_inverse_different(K)
+    # a lattice whose trace form has determinant 7^2, not a unit
+    wrong = A * nf.prime_above(K, 7)
+    monkeypatch.setattr(gf, "sqrt_inverse_different", lambda field: wrong)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="determinant"):
+            gform_from_A(K, hom)
+    assert hom not in K._ideal_memo
+    monkeypatch.undo()
+    form = gform_from_A(K, hom)
+    assert gform_from_A(K) is form
+    assert gform_from_A(K, HomToG.standard(K)) is form
+    inverse = gform_from_A(K, hom.inverse_hom())
+    assert inverse is not form and gform_from_A(K, hom.inverse_hom()) is inverse
+    assert inverse.gram == form.gram and inverse.actions != form.actions
 
 
 def test_isometry_equivalence(k7):

@@ -309,8 +309,11 @@ def test_closed_form_ideals_match_the_inverse_route(p, f):
 
 
 def test_ideal_layer_is_built_once_per_field(monkeypatch):
+    import gform_lab.number_fields as nf
     from gform_lab import linalg
 
+    # an empty field store for this test, as in a fresh process
+    monkeypatch.setattr(nf, "_FIELDS", {})
     kernels = []
     original = linalg.preimage_lattice
 
@@ -328,19 +331,18 @@ def test_ideal_layer_is_built_once_per_field(monkeypatch):
     assert prime_above(K, 7) is prime_above(K, 7)
     assert prime_above(K, 13) is prime_above(K, 13)
     assert len(kernels) == 2  # one Frobenius kernel per ramified prime
-    # an equal field built separately has its own memo and recomputes
-    K2 = build_field(3, 91)
-    assert K2 == K and K2 is not K
-    A2 = sqrt_inverse_different(K2)
-    assert A2 == A and A2 is not A
-    assert prime_above(K2, 7) is not prime_above(K, 7)
-    assert len(kernels) == 4
+    # the same request returns the same field, whose memo is already filled
+    assert build_field(3, 91) is K
+    assert sqrt_inverse_different(build_field(3, 91)) is A
+    assert len(kernels) == 2
 
 
 def test_failed_ideal_checks_store_nothing(monkeypatch):
     import gform_lab.number_fields as nf
 
-    K = build_field(3, 13)
+    # built directly, not interned: an interned K13 may already hold a memo
+    K13 = build_field(3, 13)
+    K = nf.PeriodField(3, 13, K13.character, K13.generator)
     O = K.maximal_order()
     wrong = FractionalIdeal(K, O.num, 2)  # (1/2) O is not the trace dual
     monkeypatch.setattr(nf, "dual_lattice", lambda lattice: wrong)
@@ -353,6 +355,46 @@ def test_failed_ideal_checks_store_nothing(monkeypatch):
             sqrt_inverse_different(K)
     monkeypatch.undo()
     assert sqrt_inverse_different(K) * sqrt_inverse_different(K) == dual_lattice(O)
+
+
+def test_level_cap_holds_on_a_cache_hit(monkeypatch):
+    from gform_lab.cyclotomic import LevelBoundError
+
+    K = build_field(3, 91)
+    assert build_field(3, 91) is K
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "50")
+    with pytest.raises(LevelBoundError):
+        build_field(3, 91)
+    with pytest.raises(LevelBoundError):
+        compose_fields(build_field(3, 7), build_field(3, 13))
+
+
+def test_shared_field_character_is_read_only(k7, k13, k91):
+    assert k7.character[3] == 1
+    with pytest.raises(TypeError):
+        k7.character[3] = 2
+    with pytest.raises(TypeError):
+        del k91.character[1]
+    assert k7.character[3] == 1
+    # a field keeps its own copy of the character it was built from
+    character = dict(k13.character)
+    K = build_field(3, 13, character=character)
+    assert K is k13
+    character[2] = 0
+    assert K.character[2] == k13.character[2] != 0
+
+
+def test_equal_requests_share_one_field(k7, k13, k91):
+    assert build_field(3, 91) is k91
+    assert build_field(3, 7, generator=k7.generator, character=dict(k7.character)) is k7
+    # another product character or another generator is another field
+    other = compose_fields(k7, k13, weights=(1, 2))
+    assert other is not k91 and other != k91
+    assert compose_fields(k7, k13, weights=(1, 2)) is other
+    g = next(x for x, v in k91.character.items() if v == 1 and other.character[x] == 1)
+    assert build_field(3, 91, generator=g) is not build_field(3, 91, g, dict(other.character))
+    moved = build_field(3, 7, generator=pow(k7.generator, 4, 7))
+    assert moved is not k7 and moved.generator != k7.generator
 
 
 @pytest.mark.parametrize("p, f", [(3, 7), (3, 91), (5, 11)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.suites import SUITES, SuiteConfig, run_suite, sieve_conductors
 
 
@@ -92,6 +94,26 @@ def test_cli_stickelberger_table(tmp_path):
     }
     assert doc["checks"]["twist_equivariance"] is True
     assert doc["checks"]["transpose_self_dual"] is True
+
+
+@pytest.mark.parametrize("check", ["integrality", "equivariance", "self_duality"])
+def test_cli_stickelberger_table_exits_1_on_a_failed_check(check, monkeypatch, capsys):
+    from gform_lab import stickelberger as stk
+    from gform_lab.cli import main
+
+    if check == "integrality":
+        G = FiniteAbelianGroup((3, 3))
+        cert = stk.integrality_certificate(G)
+        broken = dataclasses.replace(cert, counterexample=stk.det_kernel_basis(G)[0])
+        monkeypatch.setattr(stk, "integrality_certificate", lambda group: broken)
+    elif check == "equivariance":
+        monkeypatch.setattr(stk, "equivariance_check", lambda group, gens: False)
+    else:
+        monkeypatch.setattr(stk, "image_selfdual_check", lambda f: False)
+    assert main(["stickelberger", "table", "--group", "3,3", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert False in (checks["integrality_matches_kernel"]["lattice_equals_kernel"],
+                     checks["twist_equivariance"], checks["transpose_self_dual"])
 
 
 def test_stickelberger_suite_and_table_import_no_numpy(tmp_path):
