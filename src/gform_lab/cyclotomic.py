@@ -26,6 +26,14 @@ conjugates as a balanced product tree: a running product would multiply an
 ever larger partial product by one small conjugate at a time, which
 Kronecker substitution cannot speed up.
 
+`convolve` is the group-ring product over cyclotomic coefficients as one
+Kronecker convolution on the same slot helpers: every coefficient is lifted
+to the lcm level of all of them by placing exponents, packed once, and the
+packed products are summed per output index as ints; each output is unpacked
+and reduced once, at the lcm level of the pairs that reached it. A product of
+two elements of Q(zeta_f)[C_p] thus takes p reductions instead of p^2
+CyclotomicNumber products and sums, with the same result, term for term.
+
 Supported levels are capped (default 200, override with the
 GFORM_LAB_MAX_LEVEL environment variable, a positive integer) to keep
 exhaustive exact sweeps at desk scale.
@@ -143,32 +151,118 @@ def _schoolbook_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return raw
 
 
+# Kronecker substitution evaluates integer polynomials at x = 2^(8k), k bytes
+# a slot. A slot of k = ceil((bitlen(M) + 1) / 8) bytes keeps every
+# coefficient |c| <= M below half = 2^(8k-1). Adding half to every slot
+# before packing makes all slots nonnegative, so no borrow or carry crosses a
+# slot; it is subtracted again on reading. `_kronecker_product` and
+# `convolve` share these three helpers.
+
+def _slot_width(bound: int) -> tuple[int, int]:
+    """(k, half) for slots that hold any integer of absolute value <= bound."""
+    k = (bound.bit_length() + 8) // 8
+    return k, 1 << (8 * k - 1)
+
+
+def _pack(v, k: int, half: int, stride: int = 1) -> int:
+    """sum(v[i] * x^(stride * i)) at x = 2^(8k): v[i] goes to slot stride*i,
+    the slots between stay zero."""
+    width = k * stride
+    biased = b"".join([(c + half).to_bytes(width, "little") for c in v])
+    return (int.from_bytes(biased, "little")
+            - int.from_bytes(half.to_bytes(width, "little") * len(v), "little"))
+
+
+def _unpack(x: int, k: int, half: int, m: int, stride: int = 1) -> list[int]:
+    """The slots 0, stride, 2*stride, ... below m of a value whose slots
+    0..m-1 each hold an integer of absolute value below half."""
+    buf = (x + int.from_bytes(half.to_bytes(k, "little") * m, "little")).to_bytes(k * m, "little")
+    return [int.from_bytes(buf[i:i + k], "little") - half for i in range(0, k * m, k * stride)]
+
+
 def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the polynomial product of a and b by one integer
-    multiplication (Kronecker substitution): evaluate both at x = 2^s, where
-    an s-bit slot holds any product coefficient, multiply, and read the
-    coefficients back slot by slot.
+    multiplication (Kronecker substitution). Every coefficient is bounded by
+    max|a| * max|b| * min(len). Both operands must be nonzero, or the slots
+    would not hold the other operand's coefficients."""
+    k, half = _slot_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    return _unpack(_pack(a, k, half) * _pack(b, k, half), k, half, len(a) + len(b) - 1)
 
-    Every coefficient is bounded by M = max|a| * max|b| * min(len), and a
-    slot of k = ceil((bitlen(M) + 1) / 8) bytes keeps |c| < half = 2^(8k-1).
-    Adding half to every slot before packing makes all slots nonnegative,
-    so no borrow or carry crosses a slot; it is subtracted again on reading.
-    Both operands must be nonzero, or the slots would not hold the other
-    operand's coefficients.
+
+def _scaled_terms(values) -> tuple[list, int]:
+    """The nonzero entries of values (Fractions and CyclotomicNumbers) over
+    one denominator, as (index, flag, level, numerators) with the flag 1 for
+    a Fraction and 2 for a CyclotomicNumber, and that denominator."""
+    terms = [(i, c) for i, c in enumerate(values) if c]
+    den = lcm(*(c.den if isinstance(c, CyclotomicNumber) else c.denominator for _, c in terms))
+    out = []
+    for i, c in terms:
+        if isinstance(c, CyclotomicNumber):
+            scale = den // c.den
+            out.append((i, 2, c.level, c.num if scale == 1 else [x * scale for x in c.num]))
+        else:
+            out.append((i, 1, 1, (c.numerator * (den // c.denominator),)))
+    return out, den
+
+
+def convolve(a, b, table) -> list:
+    """out[table[i][j]] = sum of a[i] * b[j] over the nonzero a[i] and b[j],
+    for sequences of Fractions and CyclotomicNumbers: the product of two
+    group-ring elements through their product table, in one packed integer
+    convolution.
+
+    Every coefficient is lifted to the ambient level N, the lcm of all
+    coefficient levels, by placing exponents (zeta_L^i -> zeta_N^(i N/L), no
+    reduction), each operand is scaled to one denominator, and each
+    coefficient is packed once into Kronecker slots wide enough for the sum
+    of all products that meet at one output. The packed products are
+    accumulated per output as ints, and each output is unpacked and reduced
+    once, at L_k, the lcm of the levels of the pairs that reached it: its
+    exponents are multiples of N/L_k. An output only rational pairs reached
+    is a Fraction, one no pair reached is 0. So types, levels and normal
+    forms are those of the term-by-term sum of CyclotomicNumber products.
     """
-    m = len(a) + len(b) - 1
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    k = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * k - 1)
-    pad = half.to_bytes(k, "little")
-
-    def pack(v):
-        biased = b"".join([(c + half).to_bytes(k, "little") for c in v])
-        return int.from_bytes(biased, "little") - int.from_bytes(pad * len(v), "little")
-
-    product = pack(a) * pack(b) + int.from_bytes(pad * m, "little")
-    buf = product.to_bytes(k * m, "little")
-    return [int.from_bytes(buf[i:i + k], "little") - half for i in range(0, k * m, k)]
+    n = len(table)
+    a_terms, a_den = _scaled_terms(a)
+    b_terms, b_den = _scaled_terms(b)
+    if not a_terms or not b_terms:
+        return [0] * n
+    ambient = lcm(*(t[2] for t in a_terms), *(t[2] for t in b_terms))
+    # an output sums at most min(#a, #b) products of lifted vectors, and a
+    # coefficient of one product at most min(length) products of entries
+    bound = min(len(a_terms), len(b_terms))
+    bound *= min(max(len(v) for *_, v in a_terms), max(len(v) for *_, v in b_terms))
+    for terms in (a_terms, b_terms):
+        bound *= max(max(max(v), -min(v)) for *_, v in terms) or 1
+    k, half = _slot_width(bound)
+    a_packed = [(i, flag, level, _pack(v, k, half, ambient // level))
+                for i, flag, level, v in a_terms]
+    acc = [0] * n
+    levels = [1] * n
+    reached = [0] * n  # the or of the flags of every factor that reached the output
+    for j, fb, lb, v in b_terms:
+        pb = _pack(v, k, half, ambient // lb)
+        for i, fa, la, pa in a_packed:
+            o = table[i][j]
+            acc[o] += pa * pb
+            levels[o] = lcm(levels[o], la, lb)
+            reached[o] |= fa | fb
+    # one past the highest lifted exponent of a product
+    m = 1 + sum(max((len(v) - 1) * (ambient // level) for _, _, level, v in terms)
+                for terms in (a_terms, b_terms))
+    den = a_den * b_den
+    _check_level(max(levels))
+    out = []
+    for o in range(n):
+        if reached[o] < 2:
+            out.append(Fraction(acc[o], den) if reached[o] else 0)
+            continue
+        level = levels[o]
+        phi = euler_phi(level)
+        raw = _unpack(acc[o], k, half, m, ambient // level)
+        raw += [0] * (phi - len(raw))
+        out.append(CyclotomicNumber._raw(level, _reduce(level, phi, raw), den))
+    return out
 
 
 def _balanced_product(factors: list["CyclotomicNumber"]) -> "CyclotomicNumber":

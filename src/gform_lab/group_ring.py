@@ -8,7 +8,10 @@ stays non-rational until `demoted()`. Both forms are canonical, so equality
 is structural. The constructor takes a dict {GroupElement: coefficient}, the
 one place foreign keys are checked; `coeffs` is the derived dict of nonzero
 coefficients. Arithmetic runs on indices through the `group_tables` product
-table and inverse permutation. The character (Fourier) transform turns
+table and inverse permutation. A product of two rational elements is an
+integer convolution of their numerators; any other product is one packed
+convolution of the coefficients (`cyclotomic.convolve`), which reduces each
+output coefficient once. The character (Fourier) transform turns
 convolution into pointwise multiplication, which is how invertibility is
 decided; a regular-representation linear solve is an independent oracle.
 
@@ -29,7 +32,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .arith import euler_phi
-from .cyclotomic import CyclotomicNumber, _trace_table
+from .cyclotomic import CyclotomicNumber, _trace_table, convolve
 from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
 
 
@@ -207,15 +210,7 @@ class GroupRingElement:
                     for j, d in b:
                         acc[row[j]] += c * d
             return self._rational(self.group, acc, self.den * other.den)
-        b = [(j, d) for j, d in enumerate(other._coefficients()) if d]
-        out = [None] * len(prod)
-        for i, c in enumerate(self._coefficients()):
-            if c:
-                row = prod[i]
-                for j, d in b:
-                    k = row[j]
-                    out[k] = c * d if out[k] is None else out[k] + c * d
-        return self._dense(self.group, [0 if c is None else c for c in out])
+        return self._dense(self.group, convolve(self._coefficients(), other._coefficients(), prod))
 
     __rmul__ = __mul__
 

@@ -22,9 +22,10 @@ ideal's denominator.
 `build_field` interns its fields: one verified `PeriodField` per (degree,
 conductor, generator, character) in a process, so a field requested again,
 directly or as the composite of `compose_fields`, is the same object, and
-its tables and discriminant certificate are built once. Like `group_tables`,
-the store is unbounded. The level cap is checked on every request, before
-the lookup.
+its tables and discriminant certificate are built once. The default
+character of each (degree, conductor) and its default generator are
+resolved once too. Like `group_tables`, both stores are unbounded. The level
+cap is checked on every request, before the lookup.
 
 Each field keeps one memo of its ideal layer, filled on first use and shared
 by every caller of the interned field: the prime P over each ramified ell,
@@ -228,6 +229,28 @@ class PeriodField:
 # every field `build_field` has verified in this process, by (degree,
 # conductor, generator, character items)
 _FIELDS: dict[tuple, PeriodField] = {}
+# the default character of each (degree, conductor) `build_field` was asked
+# for, as (character, default generator, character items)
+_DEFAULT_CHARACTERS: dict[tuple[int, int], tuple[dict[int, int], int, frozenset]] = {}
+
+
+def _resolve_character(p: int, character) -> tuple[int, frozenset]:
+    """(default generator, items) of a character onto Z/p: the least unit
+    mapped to 1, and the frozen items that key the field store."""
+    if set(character.values()) != set(range(p)):
+        raise FieldConstructionError("character is not surjective onto Z/p")
+    return min(x for x, v in character.items() if v == 1), frozenset(character.items())
+
+
+def _default_character(p: int, f: int) -> tuple[dict[int, int], int, frozenset]:
+    """The canonical character of conductor f onto Z/p, the sum of the
+    discrete logarithms to the least primitive root modulo each prime of f,
+    with its default generator and items; computed once per (p, f)."""
+    if (p, f) not in _DEFAULT_CHARACTERS:
+        parts = [(ell, discrete_log_table(primitive_root(ell), ell)) for ell, _ in factorize(f)]
+        character = {x: sum(dlog[x % ell] for ell, dlog in parts) % p for x in units_mod(f)}
+        _DEFAULT_CHARACTERS[p, f] = (character, *_resolve_character(p, character))
+    return _DEFAULT_CHARACTERS[p, f]
 
 
 def build_field(degree: int, conductor: int, generator: int | None = None,
@@ -250,20 +273,14 @@ def build_field(degree: int, conductor: int, generator: int | None = None,
                 f"prime {ell} is not 1 mod {p}; no degree-{p} character of conductor {f}"
             )
     if character is None:
-        parts = []
-        for ell, _ in factorize(f):
-            g_ell = primitive_root(ell)
-            parts.append((ell, discrete_log_table(g_ell, ell)))
-        character = {}
-        for x in units_mod(f):
-            character[x] = sum(dlog[x % ell] for ell, dlog in parts) % p
-    if set(character.values()) != set(range(p)):
-        raise FieldConstructionError("character is not surjective onto Z/p")
+        character, default_generator, items = _default_character(p, f)
+    else:
+        default_generator, items = _resolve_character(p, character)
     if generator is None:
-        generator = min(x for x, v in character.items() if v == 1)
+        generator = default_generator
     # the cap holds on a hit too, so no call's outcome depends on earlier ones
     _check_level(f)
-    key = (p, f, generator, frozenset(character.items()))
+    key = (p, f, generator, items)
     if key not in _FIELDS:
         _FIELDS[key] = PeriodField(p, f, character, generator)
     return _FIELDS[key]

@@ -7,6 +7,15 @@ identification h of Gal(K/Q) with a cyclic group G; its function table is
 s -> sigma^(a(s))(alpha) and its resolvend is the group-ring element
 sum_s a(s) s^{-1} over Q(zeta_f). The degenerate split algebra (trivial h) is
 supported through the indicator of the identity, whose resolvend is 1.
+
+The resolvend identity r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1} has a
+cyclotomic side and a rational one. The left side is a group-ring product,
+one packed convolution (`cyclotomic.convolve`). The right side, the trace
+table, is read off the period coordinates an element keeps from its
+membership check and the integer trace Gram of the field, which was verified
+against the cyclotomic trace when the field was built: it takes no
+cyclotomic product and no Galois conjugate. `is_self_dual` decides by both
+sides, which must agree.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
 from .arith import is_prime, units_mod
 from .cyclotomic import CyclotomicNumber
 from .group_ring import (
@@ -23,17 +33,18 @@ from .group_ring import (
     fourier,
     try_invert,
 )
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup, GroupElement, group_tables
 from .number_fields import HomToG, compose_fields
 from .stickelberger import EquivariantMap, det_kernel_basis, transpose_value
 
 
 class AlgebraElement:
     """Element of the G-Galois algebra attached to a hom h, stored as the
-    underlying field element; `split_identity` gives the identity-indicator
-    of the split algebra (h trivial)."""
+    underlying field element alpha with its period coordinates `coords`
+    (None for the split algebra); `split_identity` gives the
+    identity-indicator of the split algebra (h trivial)."""
 
-    __slots__ = ("hom", "alpha", "_group")
+    __slots__ = ("hom", "alpha", "coords", "_group")
 
     def __init__(self, hom: HomToG | None, alpha, group: FiniteAbelianGroup | None = None):
         self.hom = hom
@@ -42,11 +53,12 @@ class AlgebraElement:
                 raise ValueError("the split algebra needs an explicit group")
             self._group = group
             self.alpha = Fraction(alpha)
+            self.coords = None
         else:
             self._group = hom.group
             a = alpha if isinstance(alpha, CyclotomicNumber) else CyclotomicNumber.rational(alpha, 1)
             a = a.raise_level(hom.field.conductor)
-            hom.field.coordinates(a)  # membership check
+            self.coords = hom.field.coordinates(a)  # also the membership check
             self.alpha = a
 
     @classmethod
@@ -121,13 +133,32 @@ def is_normal_basis_generator(a: AlgebraElement) -> bool:
 
 
 def _trace_table(a: AlgebraElement, b: AlgebraElement) -> GroupRingElement:
-    """sum_s Tr((s.a) b) s^{-1}; the split algebra is supported at the
-    identity, where its trace is the value itself."""
+    """sum_s Tr((s.a) b) s^{-1}. In a field algebra, s.a = sigma^j(a) with
+    j = h^-1(s), so the coefficient is sigma_coords(x, j) . (Gram y) for the
+    period coordinates x of a and y of b and the integer trace Gram of the
+    field, verified against the cyclotomic trace when the field was built.
+    The split algebra is supported at the identity, where its trace is the
+    value itself."""
     a._same_algebra(b)
-    trace = Fraction if a.is_split else a.hom.field.trace
-    return GroupRingElement(
-        a.group, {s.inverse(): trace(a.value_at(s) * b.alpha) for s in a.group.elements()}
-    )
+    G = a.group
+    if a.is_split:
+        return GroupRingElement(G, {s.inverse(): Fraction(a.value_at(s) * b.alpha)
+                                    for s in G.elements()})
+    K, T = a.hom.field, group_tables(G)
+    x, x_den = _integer_vector(a.coords)
+    y, y_den = _integer_vector(b.coords)
+    gram_y = linalg.mat_vec(K.gram, y)
+    num = [0] * G.order
+    for i, s in enumerate(T.elements):
+        moved = K.sigma_coords(x, a.hom.galois_power(s))
+        num[T.inverse[i]] = sum(u * v for u, v in zip(moved, gram_y))
+    return GroupRingElement._rational(G, num, x_den * y_den)
+
+
+def _integer_vector(coords) -> tuple[list[int], int]:
+    """Fraction coordinates as integer numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 def resolvend_pairing_identity(a: AlgebraElement, b: AlgebraElement) -> bool:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gform_lab.cyclotomic import CyclotomicNumber
+from gform_lab.arith import euler_phi
+from gform_lab.cyclotomic import CyclotomicNumber, convolve
 from gform_lab.group_ring import (
     GroupRingElement,
     NotInvertible,
@@ -15,7 +16,7 @@ from gform_lab.group_ring import (
     is_integral_unit,
     try_invert,
 )
-from gform_lab.groups import FiniteAbelianGroup, GroupElement, GroupSpecError
+from gform_lab.groups import FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
 
 C3 = FiniteAbelianGroup((3,))
 C7 = FiniteAbelianGroup((7,))
@@ -383,3 +384,135 @@ def test_rational_paths_hash_no_group_element(G, monkeypatch):
     calls.clear()
     run()
     assert calls == []
+
+
+# -- the packed convolution against the term-by-term sum -----------------------
+
+C5 = FiniteAbelianGroup((5,))
+
+
+def _term_by_term(a, b):
+    """The product coefficients as sums of CyclotomicNumber products, one
+    pair of coefficients at a time: the oracle for `convolve`."""
+    prod = group_tables(a.group).prod
+    b_terms = [(j, d) for j, d in enumerate(b._coefficients()) if d]
+    out = [None] * len(prod)
+    for i, c in enumerate(a._coefficients()):
+        if c:
+            for j, d in b_terms:
+                k = prod[i][j]
+                out[k] = c * d if out[k] is None else out[k] + c * d
+    return [0 if c is None else c for c in out]
+
+
+def _shape(c):
+    """Type, level, numerators and denominator of one coefficient."""
+    if isinstance(c, CyclotomicNumber):
+        return CyclotomicNumber, c.level, c.num, c.den
+    return type(c), c.numerator, c.denominator
+
+
+def _assert_convolution_matches(a, b):
+    expected = _term_by_term(a, b)
+    got = convolve(a._coefficients(), b._coefficients(), group_tables(a.group).prod)
+    assert [_shape(c) for c in got] == [_shape(c) for c in expected]
+    product, reference = a * b, GroupRingElement._dense(a.group, expected)
+    assert (product.num, product.den) == (reference.num, reference.den)
+    assert [_shape(c) for c in product.values or ()] == [_shape(c) for c in reference.values or ()]
+    return got
+
+
+def _rand_coefficient_at(rng, levels):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    level = rng.choice(levels)
+    return CyclotomicNumber(level, [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
+                                    for _ in range(euler_phi(level))])
+
+
+def _rand_cyclotomic_element(G, rng, levels):
+    return GroupRingElement._dense(G, [_rand_coefficient_at(rng, levels) for _ in range(G.order)])
+
+
+@pytest.mark.parametrize("G", [C3, C5, C9, C33], ids=str)
+@pytest.mark.parametrize("levels", [(3,), (5,), (9,), (7,), (7, 13), (13, 39), (29, 203), (7, 9)],
+                         ids=str)
+def test_packed_convolution_matches_the_term_by_term_sum(G, levels, monkeypatch):
+    # the C7 Fourier values of a conductor-29 resolvend live at level 203
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "203")
+    rng = random.Random(sum(levels) * G.order)
+    zero = GroupRingElement.zero(G)
+    for _ in range(4):
+        a = _rand_cyclotomic_element(G, rng, levels)
+        b = _rand_cyclotomic_element(G, rng, levels)
+        for x, y in ((a, b), (b, a), (a, b.involute()), (a, rand_element(G, rng)),
+                     (rand_element(G, rng), b), (zero, a), (a, zero)):
+            _assert_convolution_matches(x, y)
+    # every coefficient at its extreme: some output slot reaches the bound the
+    # slots are sized for
+    for level in levels:
+        top = CyclotomicNumber(level, [97] * euler_phi(level))
+        full = GroupRingElement._dense(G, [top] * G.order)
+        _assert_convolution_matches(full, full)
+        _assert_convolution_matches(full, GroupRingElement._dense(G, [Fraction(-89)] * G.order))
+
+
+def test_packed_convolution_reads_each_output_at_its_own_level():
+    z7, z13 = CyclotomicNumber.zeta(7), CyclotomicNumber.zeta(13)
+    s = C3.element((1,))
+    a = GroupRingElement(C3, {C3.identity(): 2 + z7, s: z13 - 3})
+    b = GroupRingElement(C3, {C3.identity(): Fraction(1, 2)})
+    got = _assert_convolution_matches(a, b)
+    assert [_shape(c)[:2] for c in got] == [(CyclotomicNumber, 7), (CyclotomicNumber, 13), (int, 0)]
+    # two levels meeting at one output give their lcm there
+    c = GroupRingElement(C3, {C3.identity(): z7, s.inverse(): z13})
+    got = _assert_convolution_matches(a, c)
+    assert {_shape(x)[1] for x in got} == {91}
+
+
+def test_packed_convolution_rational_and_cancelling_outputs():
+    z = CyclotomicNumber.zeta(7)
+    e, s = C3.identity(), C3.element((1,))
+    # (z e + z s)(z^-1 e - z^-1 s^2) = 0 e + 1 s - 1 s^2: a zero output and
+    # two rational values, all at level 7
+    a = GroupRingElement(C3, {e: z, s: z})
+    b = GroupRingElement(C3, {e: z.inverse(), s.inverse(): -z.inverse()})
+    got = _assert_convolution_matches(a, b)
+    assert [_shape(c) for c in got] == [(CyclotomicNumber, 7, (0,) * 6, 1),
+                                        (CyclotomicNumber, 7, (1,) + (0,) * 5, 1),
+                                        (CyclotomicNumber, 7, (-1,) + (0,) * 5, 1)]
+    product = a * b
+    assert product.values[0] == 0 and product.values[1].is_rational()
+    # an output only rational pairs reach is a Fraction, also when it
+    # cancels: e gets 1/2 * 3 + 1 * (-3/2)
+    c = GroupRingElement(C3, {e: Fraction(1, 2), s: 1, s.inverse(): z})
+    d = GroupRingElement(C3, {e: 3, s.inverse(): Fraction(-3, 2)})
+    got = _assert_convolution_matches(c, d)
+    assert [_shape(x)[:2] for x in got] == [(Fraction, 0), (CyclotomicNumber, 7),
+                                            (CyclotomicNumber, 7)]
+
+
+def test_a_product_over_c_p_reduces_once_per_output(monkeypatch):
+    from gform_lab import cyclotomic
+
+    for G, level in ((C3, 7), (C5, 11)):
+        rng = random.Random(level)
+        a = GroupRingElement._dense(G, [_rand_coefficient_at(rng, (level,)) or Fraction(1)
+                                        for _ in range(G.order)])
+        b = GroupRingElement._dense(G, [CyclotomicNumber(level, [rng.randint(-5, 5) for _ in
+                                                                 range(euler_phi(level))])
+                                        for _ in range(G.order)])
+        calls = []
+        original = cyclotomic._reduce
+
+        def counting_reduce(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(cyclotomic, "_reduce", counting_reduce)
+        a * b
+        monkeypatch.undo()
+        assert calls == [level] * G.order

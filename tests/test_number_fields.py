@@ -408,3 +408,20 @@ def test_preimage_ideals_equal_the_validating_constructor(p, f):
     ideals += [dual_lattice(K.maximal_order()), dual_lattice(sqrt_inverse_different(K))]
     for ideal in ideals:
         assert FractionalIdeal(K, ideal.num, ideal.den) == ideal
+
+
+def test_default_character_is_resolved_once_per_conductor(monkeypatch):
+    import gform_lab.number_fields as nf
+
+    K = build_field(3, 91)
+    calls = []
+    for name in ("discrete_log_table", "units_mod"):
+        def counting(*args, _original=getattr(nf, name)):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(nf, name, counting)
+    for _ in range(3):
+        assert build_field(3, 91) is K
+        assert build_field(3, 91, generator=K.generator) is K
+    assert calls == []

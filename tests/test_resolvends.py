@@ -16,6 +16,7 @@ from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import HomToG, build_field
 from gform_lab.resolvends import (
     AlgebraElement,
+    _trace_table,
     ReducedResolvend,
     homomorphism_property_check,
     inverse_resolvend,
@@ -317,3 +318,48 @@ def test_trace_table_route_matches_the_character_route(p, f, monkeypatch):
         else:
             assert resolvend(inverse_resolvend(a)) == try_invert(r)
     assert kinds == {True, False}
+
+
+# -- the trace table from the integer Gram ---------------------------------------
+
+
+def _trace_table_by_definition(a, b):
+    """sum_s Tr((s.a) b) s^-1 through the cyclotomic trace."""
+    K = a.hom.field
+    return GroupRingElement(
+        a.group, {s.inverse(): K.trace(a.value_at(s) * b.alpha) for s in a.group.elements()})
+
+
+@pytest.mark.parametrize("p, f", [(3, 7), (3, 13), (3, 91), (3, 133), (5, 11), (5, 31)])
+def test_trace_table_is_the_cyclotomic_trace_definition(p, f):
+    K = build_field(p, f)
+    G = FiniteAbelianGroup((p,))
+    rng = random.Random(p * f)
+    for u in range(1, p):  # every identification of Gal(K/Q) with G
+        hom = HomToG(K, G, G.element((u,)))
+        elements = [AlgebraElement(hom, K.periods[0])]
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(p)]
+            elements.append(AlgebraElement(hom, K.element(coords)))
+        for a in elements:
+            for b in elements:
+                assert _trace_table(a, b) == _trace_table_by_definition(a, b), (u, a, b)
+
+
+def test_trace_table_takes_no_cyclotomic_product_or_conjugate(monkeypatch):
+    K = build_field(3, 13)
+    hom = HomToG.standard(K)
+    a = AlgebraElement(hom, K.element([1, -2, 3]))
+    b = AlgebraElement(hom, K.element([Fraction(1, 2), 0, Fraction(5, 3)]))
+    calls = []
+    for name in ("__mul__", "__rmul__", "galois"):
+        def counting(*args, _original=getattr(CyclotomicNumber, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(CyclotomicNumber, name, counting)
+    table = _trace_table(a, b)
+    assert calls == []
+    # the counters are live: the definition multiplies and conjugates
+    assert table == _trace_table_by_definition(a, b)
+    assert {"__mul__", "galois"} <= set(calls)
