@@ -6,6 +6,11 @@ centered Stickelberger pairing and its transpose, Gaussian-period fields with
 HNF ideal arithmetic, resolvends, and unimodular G-form witness searches.
 Everything is computed over Z and Q (Fractions); there is no floating point
 in any mathematical path.
+
+The certification suites load on first use: `Report`, `SuiteConfig`,
+`run_suite` and `sieve_conductors` are served from `gform_lab.suites` by the
+module `__getattr__` (PEP 562), so `import gform_lab` loads only the
+library's objects.
 """
 
 from .groups import (
@@ -86,6 +91,19 @@ from .gforms import (
     verify_weak_multiplicativity,
     witness_element,
 )
-from .suites import Report, SuiteConfig, run_suite, sieve_conductors
 
 __version__ = "0.1.0"
+
+_SUITE_NAMES = frozenset({"Report", "SuiteConfig", "run_suite", "sieve_conductors"})
+
+
+def __getattr__(name: str):
+    if name in _SUITE_NAMES:
+        from . import suites
+
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUITE_NAMES)

@@ -18,7 +18,6 @@ The field-side routes (`resolvends.is_self_dual` and the HNF span test of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -37,6 +36,7 @@ from .resolvends import (
     is_self_dual,
     product_resolvend,
 )
+from .record import Record
 
 
 class WitnessNotFound(RuntimeError):
@@ -181,14 +181,17 @@ def _build_gform_from_A(field: PeriodField, hom: HomToG) -> GForm:
     )
 
 
-@dataclass(frozen=True)
-class IsometryWitness:
+class IsometryWitness(Record):
     """A self-dual generator: coordinates of x and the change-of-basis matrix
     whose rows are the orbit coordinates of s . x in enumeration order."""
 
-    form: GForm
-    coords: tuple[int, ...]
-    orbit_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("form", "coords", "orbit_matrix")
+
+    def __init__(self, form: GForm, coords: tuple[int, ...],
+                 orbit_matrix: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "orbit_matrix", orbit_matrix)
 
     @classmethod
     def of(cls, form: GForm, coords) -> "IsometryWitness":
@@ -286,17 +289,20 @@ def verify_inverse_law(field: PeriodField, hom: HomToG | None = None) -> bool:
     return is_self_dual_generator(inverse_resolvend(a), A)
 
 
-@dataclass(frozen=True)
-class ProductLaw:
+class ProductLaw(Record):
     """One product-law instance: the factor witnesses, the composite-cut
     field, the element whose resolvend is the product of the factors', and
     the verdict `holds` (it is a self-dual generator of A for the composite)."""
 
-    witnesses: tuple[IsometryWitness, IsometryWitness]
-    composite: PeriodField
-    element: AlgebraElement
-    self_dual: bool
-    holds: bool
+    __slots__ = ("witnesses", "composite", "element", "self_dual", "holds")
+
+    def __init__(self, witnesses: tuple[IsometryWitness, IsometryWitness],
+                 composite: PeriodField, element: AlgebraElement, self_dual: bool, holds: bool):
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "composite", composite)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "self_dual", self_dual)
+        object.__setattr__(self, "holds", holds)
 
 
 def product_law(

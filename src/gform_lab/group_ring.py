@@ -228,13 +228,27 @@ class GroupRingElement:
                 base = base * base
         return result
 
+    def _permuted(self, perm) -> "GroupRingElement":
+        """The element whose coefficient at index k is this one's at perm[k];
+        a permutation keeps the normal form, so nothing is recomputed."""
+        num, values = self.num, self.values
+        if num is not None:
+            num = tuple(num[j] for j in perm)
+        else:
+            values = tuple(values[j] for j in perm)
+        return object.__new__(GroupRingElement)._set(self.group, num, self.den, values)
+
     def involute(self) -> "GroupRingElement":
         """Coefficient at s moves to s^{-1}; an involution, and for abelian G a
         ring automorphism."""
-        inverse = group_tables(self.group).inverse
-        if self.num is not None:
-            return self._rational(self.group, [self.num[j] for j in inverse], self.den)
-        return self._dense(self.group, [self.values[j] for j in inverse])
+        return self._permuted(group_tables(self.group).inverse)
+
+    def translate(self, i: int) -> "GroupRingElement":
+        """The product with t = elements[i] of `group_tables`: the coefficient
+        at s moves to s*t, a permutation of the coefficients with no
+        arithmetic."""
+        T = group_tables(self.group)
+        return self._permuted(T.prod[T.inverse[i]])
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

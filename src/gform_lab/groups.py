@@ -15,11 +15,11 @@ determinant-kernel basis. Each table is built on first use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import linalg
+from .record import Record
 
 DEFAULT_ENUMERATION_BOUND = 10_000
 
@@ -32,12 +32,11 @@ class EnumerationBoundError(ValueError):
     """Group too large for an exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    invariant_factors: tuple[int, ...] = ()
+class FiniteAbelianGroup(Record):
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
+    def __init__(self, invariant_factors: tuple[int, ...] = ()):
+        facs = tuple(int(d) for d in invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
         for d in facs:
             if d < 2:
@@ -118,13 +117,12 @@ def _vector_order(group: FiniteAbelianGroup, exponents) -> int:
     return o
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...]
+class GroupElement(Record):
+    __slots__ = ("group", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _reduced(self.group, self.exponents))
+    def __init__(self, group: FiniteAbelianGroup, exponents: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exponents", _reduced(group, exponents))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         _same_group(self, other)
@@ -149,15 +147,14 @@ class GroupElement:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Character chi with chi(s) = zeta_m^((m/d_i) * sum a_i e_i mod m)."""
 
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...]
+    __slots__ = ("group", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _reduced(self.group, self.exponents))
+    def __init__(self, group: FiniteAbelianGroup, exponents: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exponents", _reduced(group, exponents))
 
     def __mul__(self, other: "Character") -> "Character":
         _same_group(self, other)
@@ -218,17 +215,26 @@ def galois_twist(s: GroupElement, k: int, n_sign: int) -> GroupElement:
     return s**e
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTables:
+class GroupTables(Record):
     """Enumerations of G and G^ with their index maps, plus integer tables
     indexed by position in those enumerations (elements in `elements()`
-    order, characters in `characters()` order)."""
+    order, characters in `characters()` order). Compared by identity; the
+    tables are cached in the instance `__dict__`."""
 
-    group: FiniteAbelianGroup
-    elements: tuple[GroupElement, ...]
-    characters: tuple[Character, ...]
-    element_index: dict
-    character_index: dict
+    _fields = ("group", "elements", "characters", "element_index", "character_index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        elements: tuple[GroupElement, ...],
+        characters: tuple[Character, ...],
+        element_index: dict,
+        character_index: dict,
+    ):
+        self.__dict__.update(group=group, elements=elements, characters=characters,
+                             element_index=element_index, character_index=character_index)
 
     @cached_property
     def prod(self) -> tuple[tuple[int, ...], ...]:
@@ -242,6 +248,19 @@ class GroupTables:
     def inverse(self) -> tuple[int, ...]:
         """inverse[i] = index of elements[i]^-1; an involution."""
         return tuple(self.element_index[s.inverse()] for s in self.elements)
+
+    def power(self, e: int) -> tuple[int, ...]:
+        """power[i] = index of elements[i]^e (and of characters[i]^e), read
+        off the exponent vectors with no hashing: both enumerations are
+        lexicographic, so an index is the mixed-radix value of its vector."""
+        facs = self.group.invariant_factors
+        out = []
+        for s in self.elements:
+            i = 0
+            for x, d in zip(s.exponents, facs):
+                i = i * d + x * e % d
+            out.append(i)
+        return tuple(out)
 
     @cached_property
     def value_exponents(self) -> tuple[tuple[int, ...], ...]:

@@ -40,7 +40,6 @@ that trace dual. A failed check raises and leaves nothing in the memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -60,6 +59,7 @@ from .arith import (
 )
 from .cyclotomic import CyclotomicNumber, _check_level
 from .groups import FiniteAbelianGroup, GroupElement
+from .record import Record
 
 
 class FieldConstructionError(ValueError):
@@ -515,22 +515,22 @@ def compose_fields(field1: PeriodField, field2: PeriodField,
     return build_field(p, f, character=character)
 
 
-@dataclass(frozen=True)
-class HomToG:
+class HomToG(Record):
     """Isomorphism from the Galois group of a period field onto a cyclic
     group G of the same odd prime order, pinned by the image of the chosen
     Galois generator sigma."""
 
-    field: PeriodField
-    group: FiniteAbelianGroup
-    sigma_image: GroupElement
+    __slots__ = ("field", "group", "sigma_image")
 
-    def __post_init__(self):
-        p = self.field.degree
-        if self.group.invariant_factors != (p,):
+    def __init__(self, field: PeriodField, group: FiniteAbelianGroup, sigma_image: GroupElement):
+        p = field.degree
+        if group.invariant_factors != (p,):
             raise ValueError(f"group must be cyclic of order {p}")
-        if self.sigma_image.order() != p:
+        if sigma_image.order() != p:
             raise ValueError("sigma must map to a generator")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "sigma_image", sigma_image)
 
     @classmethod
     def standard(cls, field: PeriodField, group: FiniteAbelianGroup | None = None) -> "HomToG":

@@ -20,7 +20,6 @@ sides, which must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -35,6 +34,7 @@ from .group_ring import (
 )
 from .groups import FiniteAbelianGroup, GroupElement, group_tables
 from .number_fields import HomToG, compose_fields
+from .record import Record
 from .stickelberger import EquivariantMap, det_kernel_basis, transpose_value
 
 
@@ -231,12 +231,13 @@ def homomorphism_property_check(a: AlgebraElement) -> bool:
         return True
     K = a.hom.field
     r = resolvend(a)
+    index = group_tables(a.group).element_index
     for k in units_mod(K.conductor):
         twisted = r.map_coefficients(
             lambda c: c.galois(k) if isinstance(c, CyclotomicNumber) else c
         )
         h_omega = a.hom.sigma_image ** K.character[k]
-        if twisted != r * GroupRingElement.from_element(h_omega):
+        if twisted != r.translate(index[h_omega]):
             return False
     return True
 
@@ -249,7 +250,7 @@ class ReducedResolvend:
     __slots__ = ("representative",)
 
     def __init__(self, r: GroupRingElement):
-        candidates = [r * GroupRingElement.from_element(t) for t in r.group.elements()]
+        candidates = [r.translate(i) for i in range(r.group.order)]
         self.representative = min(candidates, key=_orbit_key)
 
     def __eq__(self, other) -> bool:
@@ -293,12 +294,14 @@ def resolvent_norms(a: AlgebraElement) -> dict:
     return {chi: v.norm_to_rational() for chi, v in resolvent_values(a).items()}
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    passed: bool
-    ell: int
-    witness: GroupElement | None
-    details: tuple
+class FactorizationResult(Record):
+    __slots__ = ("passed", "ell", "witness", "details")
+
+    def __init__(self, passed: bool, ell: int, witness: GroupElement | None, details: tuple):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "details", details)
 
 
 def stickelberger_factorization_check(

@@ -11,7 +11,6 @@ lattice. All identities here are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,9 +22,9 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupSpecError,
-    galois_twist,
     group_tables,
 )
+from .record import Record
 
 
 def _require_odd(group: FiniteAbelianGroup) -> None:
@@ -47,17 +46,16 @@ def pairing_char(chi: Character, s: GroupElement) -> Fraction:
     return Fraction(upsilon(chi, s), s.order())
 
 
-@dataclass(frozen=True)
-class DualLatticeElement:
+class DualLatticeElement(Record):
     """Integer vector over the characters of G (an element of ZG^), stored in
     the canonical character enumeration order."""
 
-    group: FiniteAbelianGroup
-    coeffs: tuple[int, ...]
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != self.group.order:
+    def __init__(self, group: FiniteAbelianGroup, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        if len(self.coeffs) != group.order:
             raise ValueError("coefficient vector does not match the dual group size")
 
     def __add__(self, other: "DualLatticeElement") -> "DualLatticeElement":
@@ -90,22 +88,20 @@ class DualLatticeElement:
         G = self.group
         if gcd(k, G.exponent) != 1:
             raise ValueError(f"{k} is not a unit mod exp(G)")
-        T = group_tables(G)
         out = [0] * G.order
-        for chi, n in zip(T.characters, self.coeffs):
-            out[T.character_index[chi**k]] += n
+        for c, n in zip(group_tables(G).power(k), self.coeffs):
+            out[c] += n
         return DualLatticeElement(G, tuple(out))
 
 
-@dataclass(frozen=True)
-class StickelbergerVector:
+class StickelbergerVector(Record):
     """Rational vector over G (an element of QG), in enumeration order."""
 
-    group: FiniteAbelianGroup
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    def __init__(self, group: FiniteAbelianGroup, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     def coefficient(self, s: GroupElement) -> Fraction:
         return self.coeffs[group_tables(self.group).element_index[s]]
@@ -114,12 +110,12 @@ class StickelbergerVector:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def twist(self, k: int) -> "StickelbergerVector":
-        """Move mass along s -> s^{k^{-1}} (the inverse-cyclotomic action)."""
+        """Move mass along s -> s^{k^{-1}} (the inverse-cyclotomic action);
+        k must be a unit mod exp(G)."""
         G = self.group
-        T = group_tables(G)
         out = [Fraction(0)] * G.order
-        for s, c in zip(T.elements, self.coeffs):
-            out[T.element_index[galois_twist(s, k, -1)]] += c
+        for i, c in zip(group_tables(G).power(pow(k, -1, G.exponent)), self.coeffs):
+            out[i] += c
         return StickelbergerVector(G, tuple(out))
 
     def __add__(self, other):
@@ -217,15 +213,22 @@ def integrality_check(psi: DualLatticeElement, propcheck: bool = False) -> bool:
     return integral
 
 
-@dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(Record):
     """The lattice of integrality of a group compared with its determinant
     kernel: `lattice` is the canonical basis of L_int, and `counterexample`
     is None exactly when L_int equals the kernel."""
 
-    group: FiniteAbelianGroup
-    lattice: tuple[tuple[int, ...], ...]
-    counterexample: DualLatticeElement | None
+    __slots__ = ("group", "lattice", "counterexample")
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        lattice: tuple[tuple[int, ...], ...],
+        counterexample: DualLatticeElement | None,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def holds(self) -> bool:
@@ -282,42 +285,45 @@ class EquivariantMap:
     """Unit-valued map f on G, equivariant for the inverse-cyclotomic twist:
     f(s^(u^-1)) = sigma_u(f(s)) for every u in the acting residue group.
 
-    Values live in a common cyclotomic level L; the acting group is generated
-    by residues modulo M = lcm(exp(G), L), acting on values through u mod L
-    and on G through u mod exp(G). Equivariance and nonvanishing are checked
-    at construction.
+    Values live in a common cyclotomic level L, one per `group_tables`
+    element index in `values`; the acting group is generated by residues
+    modulo M = lcm(exp(G), L), acting on values through u mod L and on G
+    through u mod exp(G), where it permutes the indices. Equivariance and
+    nonvanishing are checked at construction.
     """
 
     def __init__(self, group: FiniteAbelianGroup, values, acting_generators=()):
+        """values: {GroupElement: value} or one value per element index, each
+        an int, a Fraction or a CyclotomicNumber."""
+        T = group_tables(group)
+        if isinstance(values, dict):
+            values = [values[s] for s in T.elements]
+        vals = [CyclotomicNumber.rational(v, 1) if isinstance(v, (int, Fraction)) else v
+                for v in values]
+        if len(vals) != group.order:
+            raise ValueError(f"need {group.order} values, got {len(vals)}")
+        level = lcm(1, *(v.level for v in vals))
         self.group = group
-        level = 1
-        vals = {}
-        for s in group.elements():
-            v = values[s]
-            if isinstance(v, (int, Fraction)):
-                v = CyclotomicNumber.rational(v, 1)
-            vals[s] = v
-            level = lcm(level, v.level)
         self.level = level
-        self.values = {s: v.raise_level(level) for s, v in vals.items()}
+        self.values = tuple(v.raise_level(level) for v in vals)
         m = group.exponent
         self.modulus = lcm(m, level)
         self.acting_generators = tuple(int(u) % self.modulus for u in acting_generators)
-        for s, v in self.values.items():
+        for s, v in zip(T.elements, self.values):
             if v.is_zero():
                 raise ValueError(f"map vanishes at {s}")
         for u in self.acting_generators:
             if gcd(u, self.modulus) != 1:
                 raise ValueError(f"{u} is not a unit mod {self.modulus}")
-            for s in group.elements():
-                t = galois_twist(s, u % m if m > 1 else 1, -1)
-                lhs = self.values[t]
-                rhs = self.values[s].galois(u % level if level > 1 else 1)
-                if not (lhs == rhs):
+            k = u % level if level > 1 else 1
+            # twist[i] is the index of elements[i]^(u^-1)
+            twist = T.power(pow(u, -1, m))
+            for s, t, v in zip(T.elements, twist, self.values):
+                if not (self.values[t] == v.galois(k)):
                     raise ValueError(f"map is not equivariant at (s={s}, u={u})")
 
     def __call__(self, s: GroupElement) -> CyclotomicNumber:
-        return self.values[s]
+        return self.values[group_tables(self.group).element_index[s]]
 
     @classmethod
     def prime_map(cls, group: FiniteAbelianGroup, ell: int, s: GroupElement) -> "EquivariantMap":
@@ -328,8 +334,8 @@ class EquivariantMap:
             raise ValueError("the branch element must not be the identity")
         if (ell - 1) % s.order():
             raise ValueError(f"|s| = {s.order()} does not divide {ell} - 1")
-        values = {t: Fraction(1) for t in group.elements()}
-        values[s] = Fraction(ell)
+        values = [1] * group.order
+        values[group_tables(group).element_index[s]] = ell
         m = group.exponent
         return cls(group, values, acting_generators=(ell % m,) if m > 1 else ())
 
@@ -348,20 +354,18 @@ class EquivariantMap:
         if (ell - 1) % o:
             raise ValueError(f"|s| = {o} does not divide {ell} - 1")
         pi = prime_element_above(ell, o)
-        values: dict[GroupElement, CyclotomicNumber | Fraction] = {
-            t: Fraction(1) for t in group.elements()
-        }
+        index = group_tables(group).element_index
+        values: list[CyclotomicNumber | int] = [1] * group.order
         for w in range(1, o):
             if gcd(w, o) == 1:
-                values[s**w] = pi.galois(pow(w, -1, o))
+                values[index[s**w]] = pi.galois(pow(w, -1, o))
         m = group.exponent
         return cls(group, values, acting_generators=unit_group_generators(lcm(m, o)))
 
     @classmethod
     def identity_map(cls, group: FiniteAbelianGroup) -> "EquivariantMap":
-        values = {t: Fraction(1) for t in group.elements()}
         gens = unit_group_generators(group.exponent)
-        return cls(group, values, acting_generators=gens)
+        return cls(group, [1] * group.order, acting_generators=gens)
 
     @classmethod
     def random_map(cls, group: FiniteAbelianGroup, rng, span: int = 4) -> "EquivariantMap":
@@ -369,11 +373,11 @@ class EquivariantMap:
         a nonzero value in Q(zeta_|s|) on one representative per twist orbit
         and propagate along the orbit."""
         m = group.exponent
-        elems = group.elements()
+        T = group_tables(group)
         units = units_mod(m) if m > 1 else [1]
-        values: dict[GroupElement, CyclotomicNumber] = {}
-        for s in elems:
-            if s in values:
+        values: list[CyclotomicNumber | None] = [None] * group.order
+        for i, s in enumerate(T.elements):
+            if values[i] is not None:
                 continue
             o = s.order()
             while True:
@@ -389,8 +393,7 @@ class EquivariantMap:
                 if w in seen_exponents:
                     continue
                 seen_exponents.add(w)
-                target = s**w
-                values[target] = x.galois(pow(w, -1, o)) if o > 1 else x
+                values[T.element_index[s**w]] = x.galois(pow(w, -1, o)) if o > 1 else x
         gens = unit_group_generators(m)
         return cls(group, values, acting_generators=gens)
 
@@ -403,12 +406,12 @@ def _split_transpose(
     the exponents are integers). Neither product takes an inverse, and a zero
     exponent vector takes no product at all."""
     pos = neg = None
-    for s, e in zip(group_tables(f.group).elements, _image_exponents(psi)):
+    for v, e in zip(f.values, _image_exponents(psi)):
         if e > 0:
-            x = f(s) ** e
+            x = v**e
             pos = x if pos is None else pos * x
         elif e < 0:
-            x = f(s) ** -e
+            x = v**-e
             neg = x if neg is None else neg * x
     one = CyclotomicNumber.rational(1, 1)
     return (one if pos is None else pos), (one if neg is None else neg)

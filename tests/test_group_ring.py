@@ -516,3 +516,22 @@ def test_a_product_over_c_p_reduces_once_per_output(monkeypatch):
         a * b
         monkeypatch.undo()
         assert calls == [level] * G.order
+
+
+@pytest.mark.parametrize("G", [C3, C5, C9, C33], ids=str)
+def test_translation_matches_the_convolution_product(G):
+    # a translation permutes the coefficients; the product with the group
+    # element gives the same types, levels and normal forms
+    rng = random.Random(G.order)
+    elements = group_tables(G).elements
+    cases = [rand_element(G, rng), rand_element(G, rng, ring="Z"), GroupRingElement.zero(G)]
+    cases += [_rand_cyclotomic_element(G, rng, levels) for levels in ((7,), (7, 13), (1, 9))]
+    cases.append(GroupRingElement._dense(G, [CyclotomicNumber.rational(2, 7)] * G.order))
+    for a in cases:
+        for i, t in enumerate(elements):
+            moved, product = a.translate(i), a * GroupRingElement.from_element(t)
+            assert moved == product
+            assert (moved.num, moved.den) == (product.num, product.den)
+            assert [_shape(c) for c in moved.values or ()] == [
+                _shape(c) for c in product.values or ()]
+            assert moved.translate(group_tables(G).inverse[i]) == a

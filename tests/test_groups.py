@@ -172,6 +172,9 @@ def test_group_tables_match_direct_computation(facs):
                 u = T.upsilon[c][i]
                 assert 2 * abs(u) <= o - 1
                 assert (u * m - e * o) % (m * o) == 0
+    for e in range(-1, 2 * m + 1):
+        assert T.power(e) == tuple(T.element_index[s**e] for s in T.elements)
+        assert T.power(e) == tuple(T.character_index[chi**e] for chi in T.characters)
     if G.order % 2 == 0:
         with pytest.raises(GroupSpecError):
             T.upsilon

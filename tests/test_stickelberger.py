@@ -571,3 +571,30 @@ def test_c1_reports_a_perturbed_upsilon_with_a_counterexample(facs, monkeypatch)
     integral, trivial = integrality_check(psi), psi.det().is_trivial
     assert integral != trivial
     assert (entry["integral"], entry["det_trivial"]) == (integral, trivial)
+
+
+def test_equivariant_map_is_index_keyed(monkeypatch):
+    from gform_lab.groups import GroupElement
+
+    rng = random.Random(37)
+    for G in (C3, C9, C33):
+        f = EquivariantMap.random_map(G, rng)
+        T = group_tables(G)
+        by_element = dict(zip(T.elements, f.values))
+        assert all(f(s) == v for s, v in by_element.items())
+        g = EquivariantMap(G, by_element, acting_generators=f.acting_generators)
+        assert g.values == f.values and g.level == f.level
+        # the equivariance check permutes indices and hashes no element
+        hashed = []
+        original = GroupElement.__hash__
+        monkeypatch.setattr(GroupElement, "__hash__", lambda s: hashed.append(s) or original(s))
+        h = EquivariantMap(G, list(f.values), acting_generators=f.acting_generators)
+        monkeypatch.undo()
+        assert hashed == [] and h.values == f.values
+    # a twist orbit with unequal values fails through the permutation
+    values = [1] * C9.order
+    values[group_tables(C9).element_index[C9.element((3,))]] = 2
+    with pytest.raises(ValueError, match="not equivariant"):
+        EquivariantMap(C9, values, acting_generators=(2,))
+    with pytest.raises(ValueError, match="need 9 values"):
+        EquivariantMap(C9, values[:8])

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -104,7 +103,7 @@ def test_cli_stickelberger_table_exits_1_on_a_failed_check(check, monkeypatch, c
     if check == "integrality":
         G = FiniteAbelianGroup((3, 3))
         cert = stk.integrality_certificate(G)
-        broken = dataclasses.replace(cert, counterexample=stk.det_kernel_basis(G)[0])
+        broken = stk.IntegralityCertificate(G, cert.lattice, stk.det_kernel_basis(G)[0])
         monkeypatch.setattr(stk, "integrality_certificate", lambda group: broken)
     elif check == "equivariance":
         monkeypatch.setattr(stk, "equivariance_check", lambda group, gens: False)
