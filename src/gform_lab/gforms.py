@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .groups import FiniteAbelianGroup, GroupElement
@@ -53,6 +54,10 @@ class GForm:
         self.group = group
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.rank = len(self.gram)
+        # the Gram as integer numerators over their lcm, for all exact work
+        self._gram_den = den = lcm(*(x.denominator for row in self.gram for x in row))
+        self._gram_num = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                               for row in self.gram)
         self.actions = {s: tuple(tuple(int(x) for x in row) for row in m) for s, m in actions.items()}
         self.label = label or f"form of rank {self.rank} over {group}"
         self.field = field
@@ -62,55 +67,48 @@ class GForm:
         self._validate()
 
     def _validate(self):
+        """Check that the Gram is square and symmetric and that the actions
+        represent G on the form, on the generators g only: M_e = I,
+        M_g gram M_g^T = gram, and M_g M_t = M_{gt} for every t. Every s is a
+        word in the generators, so by induction on its length M_{gs} M_t =
+        M_g M_{st} = M_{gst} for all s, t, and each M_s is a product of
+        invariant matrices: |G| + 2 products per generator imply all |G|^2."""
         if self.group.order % 2 == 0:
             raise ValueError("G-forms are only handled for groups of odd order")
-        for row in self.gram:
+        gram = self._gram_num
+        for row in gram:
             if len(row) != self.rank:
                 raise ValueError("Gram matrix is not square")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix is not symmetric")
+        if any(gram[i][j] != gram[j][i] for i in range(self.rank) for j in range(i)):
+            raise ValueError("Gram matrix is not symmetric")
         elems = self.group.elements()
         if set(self.actions) != set(elems):
             raise ValueError("need one action matrix per group element")
-        # M G M^T = G on integers: the Gram's numerators over their lcm
-        den = lcm(*(x.denominator for row in self.gram for x in row))
-        gram = [[int(x * den) for x in row] for row in self.gram]
-        for s, m in self.actions.items():
-            mg = linalg.mat_mul(m, gram)
-            if not linalg.mat_eq(linalg.mat_mul(mg, linalg.transpose(m)), gram):
-                raise ValueError(f"form is not invariant under {s}")
-        # the action matrices must represent the group
-        for s in elems:
+        if not linalg.mat_eq(self.actions[self.group.identity()], linalg.identity_matrix(self.rank)):
+            raise ValueError("the identity does not act as the identity matrix")
+        rank = self.group.rank
+        for k in range(rank):
+            g = self.group.element(tuple(int(j == k) for j in range(rank)))
+            m = self.actions[g]
+            if not linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(m, gram), linalg.transpose(m)), gram):
+                raise ValueError(f"form is not invariant under {g}")
             for t in elems:
-                prod = linalg.mat_mul(self.actions[s], self.actions[t])
-                if not linalg.mat_eq(prod, self.actions[s * t]):
+                if not linalg.mat_eq(linalg.mat_mul(m, self.actions[t]), self.actions[g * t]):
                     raise ValueError("action matrices do not compose")
 
     def pair(self, v, w) -> Fraction:
-        acc = Fraction(0)
-        for i, a in enumerate(v):
-            if a:
-                for j, b in enumerate(w):
-                    if b:
-                        acc += Fraction(a) * self.gram[i][j] * Fraction(b)
-        return acc
+        """v . gram . w^T, on the integer Gram over its denominator."""
+        gw = [sum(map(mul, row, w)) for row in self._gram_num]
+        return Fraction(sum(map(mul, v, gw)), self._gram_den)
 
     def act(self, v, s: GroupElement):
-        m = self.actions[s]
-        n = self.rank
-        return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
+        return tuple(sum(map(mul, v, col)) for col in zip(*self.actions[s]))
 
     def determinant(self) -> Fraction:
-        return linalg.det([list(r) for r in self.gram])
+        return linalg.det(self._gram_num) / self._gram_den ** self.rank
 
     def is_positive_definite(self) -> bool:
-        try:
-            linalg.ldl([list(r) for r in self.gram])
-            return True
-        except ValueError:
-            return False
+        return linalg.is_positive_definite(self._gram_num)
 
     def __repr__(self):
         return f"GForm({self.label})"
@@ -227,9 +225,8 @@ def find_self_dual_generator(form: GForm) -> IsometryWitness | None:
         raise ValueError("form rank differs from the group order")
     if abs(form.determinant()) != 1:
         raise ValueError("form is not unimodular")
-    if not form.is_positive_definite():
-        raise ValueError("form is not positive definite")
-    for v in linalg.quadratic_solutions([list(r) for r in form.gram], 1):
+    # raises ValueError when the form is not positive definite
+    for v in linalg.quadratic_solutions(form._gram_num, form._gram_den):
         witness = IsometryWitness.of(form, v)
         if witness.verify():
             return witness

@@ -297,10 +297,6 @@ class FourierVector:
             and all(self.values[k] == other.values[k] for k in self.values)
         )
 
-    def pointwise_mul(self, other: "FourierVector") -> "FourierVector":
-        vals = {chi: self.values[chi] * other.values[chi] for chi in self.values}
-        return FourierVector(self.group, lcm(self.level, other.level), vals)
-
 
 def _zeta_powers(m: int, level: int) -> list[CyclotomicNumber]:
     z = [CyclotomicNumber.zeta(level, (level // m) * e) for e in range(m)]
@@ -472,13 +468,15 @@ def invert_by_linear_solve(gamma: GroupRingElement) -> GroupRingElement:
     rhs = [0] * size
     rhs[0] = gamma.den if rational else 1  # at zeta^0 times the identity, elements[0]
     try:
-        x = linalg.solve(mat, rhs)
+        x, den = linalg._solve(mat, rhs)
     except ValueError as exc:
         raise NotInvertible("regular representation is singular") from exc
     if phi > 1:
-        x = [_demote(CyclotomicNumber(level, x[j * phi : (j + 1) * phi]))
-             for j in range(len(T.elements))]
-    out = GroupRingElement._dense(G, x)
+        out = GroupRingElement._dense(G, [
+            _demote(CyclotomicNumber._raw(level, tuple(x[j * phi : (j + 1) * phi]), den))
+            for j in range(len(T.elements))])
+    else:
+        out = GroupRingElement._rational(G, x, den)
     if not (out * gamma == GroupRingElement.one(G)):
         raise ArithmeticError("linear-solve inverse verification failed")
     return out

@@ -7,11 +7,13 @@ elimination, both on integer rows:
 - `_hnf_in_place`, the integer row Hermite normal form by unimodular row
   operations (Cohen, GTM 138, section 2.4). `hnf` and `hnf_with_transform`
   are thin entry points over it.
-- `_eliminate`, fraction-free Gaussian elimination (Bareiss 1968; Cohen,
-  GTM 138, section 2.2) on rows whose denominators were cleared first, so
-  every division is exact. `det` and `independent_rows` clear below the
-  pivots only; `inverse` and `solve` clear above them too (Gauss-Jordan).
-  An entry outside Q, such as a CyclotomicNumber, is a TypeError.
+- `_eliminate`, forward fraction-free Gaussian elimination (Bareiss 1968;
+  Cohen, GTM 138, section 2.2) on rows whose denominators were cleared
+  first, so every division is exact. It clears below the pivots only, and
+  only right of each pivot column. `det` and `independent_rows` read its
+  pivots; `inverse` and `solve` finish with an exact integer
+  back-substitution, Y = D * A^-1 B for the last pivot D. An entry outside
+  Q, such as a CyclotomicNumber, is a TypeError.
 
 Lattices are integer rows over one positive denominator. `inverse` returns
 its result that way, as (rows, den) with gcd(den, *rows) = 1, and builds no
@@ -20,16 +22,19 @@ lattice the package builds is {x : (rows/den) @ x integral} for an integer
 matrix and a den its caller knows, returned as (rows, den) in canonical form.
 It uses both cores: an HNF, its integer inverse, and an HNF again.
 
-`quadratic_solutions` enumerates the vectors of a given length over an exact
-LDL decomposition (Fincke-Pohst). The walk itself runs on integers: the
-rows of R and the level weights are scaled to integers once, so every
-coordinate window is exact and no Fraction is built per node.
+`quadratic_solutions` enumerates the vectors of a given length by
+Fincke-Pohst on the same elimination: the Bareiss rows U of the Gram scaled
+to integers carry its leading principal minors D_i on their diagonal, and
+level i of the walk has the weight 1 / (D_{i-1} D_i). Positive-definiteness
+is Sylvester's criterion on those minors. The set-up and the walk run on
+integers, so no Fraction is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -57,11 +62,11 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_eq(a, b) -> bool:
@@ -162,20 +167,19 @@ def preimage_lattice(rows: list[list[int]], den: int) -> tuple[list[list[int]], 
 # fraction-free elimination over Q
 
 
-def _eliminate(mat, ncols: int, above: bool = True):
-    """Fraction-free (Bareiss) elimination on the first ncols columns of the
-    rational rows of mat, carrying any trailing columns along; returns
-    (integer rows, pivot columns, d).
+def _eliminate(mat, ncols: int):
+    """Forward fraction-free (Bareiss) elimination on the first ncols columns
+    of the rational rows of mat, carrying any trailing columns along; returns
+    (integer rows, pivot columns, d, row swaps).
 
     All-int rows are taken as they are; a row holding a Fraction is first
     scaled by the lcm of its denominators (an entry outside Q is a
-    TypeError). d is the product of those multipliers, negated once per row
-    swap. The pivot is the first nonzero entry at or below the
-    current row. With pivot p after pivot q, every other row x becomes
-    (p*x - x[c]*pivot row)/q: below the pivot only, or above it too when
-    `above` is set (Gauss-Jordan). Entries stay minors of the scaled rows, so
-    the division is exact (Sylvester's identity), and every pivot entry ends
-    equal to the last pivot: for a square nonsingular mat, det = last pivot/d.
+    TypeError), and d is the product of those multipliers. The pivot is the
+    first nonzero entry at or below the current row. With pivot p in column c
+    after pivot q, each row x below it becomes (p*x - x[c]*pivot row)/q right
+    of c, and 0 at c. Entries stay minors of the scaled, swapped rows, so the
+    division is exact (Sylvester's identity): with no swap, row i's pivot is
+    the leading principal minor D_i, and det = (-1)^swaps * last pivot / d.
     """
     a = []
     d = 1
@@ -190,6 +194,7 @@ def _eliminate(mat, ncols: int, above: bool = True):
         a.append(list(row))
     m = len(a)
     pivots = []
+    swaps = 0
     prev = 1
     r = 0
     for c in range(ncols):
@@ -200,91 +205,116 @@ def _eliminate(mat, ncols: int, above: bool = True):
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            d = -d
-        row = a[r]
-        p = row[c]
-        for i in range(0 if above else r + 1, m):
-            if i == r:
-                continue
-            f = a[i][c]
+            swaps += 1
+        p = a[r][c]
+        tail = a[r][c + 1:]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[c]
             if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+                row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+                row[c] = 0
             elif p != prev:
-                a[i] = [p * x // prev for x in a[i]]
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
         pivots.append(c)
         prev = p
         r += 1
-    return a, pivots, d
+    return a, pivots, d, swaps
+
+
+def _back_substitute(a, n: int) -> tuple[list[list[int]], int]:
+    """(Y, D) for rows a of [A | B] that `_eliminate` left with pivots in
+    columns 0..n-1: D is the last pivot, the determinant of the scaled and
+    swapped A, and Y, one list per column of B, is the integral (Cramer)
+    D * A^-1 B. Row k gives a[k][k] * Y_k exactly, from the bottom up."""
+    D = a[n - 1][n - 1]
+    cols = []
+    for c in range(n, len(a[0])):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = a[k]
+            y[k] = (D * row[c] - sum(map(mul, row[k + 1:n], y[k + 1:]))) // row[k]
+        cols.append(y)
+    return cols, D
 
 
 def independent_rows(mat) -> list[int]:
     """Indices of the greedy-first rows of mat that form a basis of its row
     span: the pivot columns of the transpose."""
-    return _eliminate(transpose(mat), len(mat), above=False)[1]
+    return _eliminate(transpose(mat), len(mat))[1]
 
 
 def det(mat) -> Fraction:
     n = len(mat)
-    a, pivots, d = _eliminate(mat, n, above=False)
+    a, pivots, d, swaps = _eliminate(mat, n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(a[n - 1][n - 1] if n else 1, d)
+    last = a[n - 1][n - 1] if n else 1
+    return Fraction(-last if swaps % 2 else last, d)
 
 
 def inverse(mat) -> tuple[list[list[int]], int]:
     """The inverse of a nonsingular square matrix over Q as (rows, den):
-    integer rows over one positive den with gcd(den, *rows) = 1.
-
-    Gauss-Jordan leaves every pivot equal to the last one, p, so the
-    eliminated row i of [mat | I] is p*e_i | p*mat^-1 (the row scalings
-    cancel): the inverse is read off the integer rows, divided by p.
-    """
+    integer rows over one positive den with gcd(den, *rows) = 1, read off
+    D * mat^-1 from the back-substitution of [mat | I] (the row scalings
+    cancel)."""
     n = len(mat)
-    a, pivots, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(mat)], n)
+    if not n:
+        return [], 1
+    a, pivots, _, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(mat)], n)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
-    p = a[-1][n - 1] if n else 1
-    g = gcd(p, *(x for row in a for x in row[n:]))
-    if p < 0:
+    cols, D = _back_substitute(a, n)
+    g = gcd(D, *(x for col in cols for x in col))
+    if D < 0:
         g = -g
-    return [[x // g for x in row[n:]] for row in a], p // g
+    return [[x // g for x in row] for row in zip(*cols)], D // g
+
+
+def _solve(mat, rhs) -> tuple[list[int], int]:
+    """`solve` on integers: (numerators, den) with den > 0 and
+    x = numerators / den, not reduced."""
+    n = len(mat[0])
+    a, pivots, _, _ = _eliminate([list(row) + [b] for row, b in zip(mat, rhs, strict=True)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix does not have full column rank")
+    if any(row[n] for row in a[n:]):
+        raise ValueError("inconsistent overdetermined system")
+    (y,), D = _back_substitute(a, n)
+    return ([-x for x in y], -D) if D < 0 else (y, D)
 
 
 def solve(mat, rhs) -> list[Fraction]:
     """The x with mat @ x = rhs, where mat (m x n, m >= n) has full column
     rank; raises ValueError if the rank is short or the system inconsistent.
     Entries are ints or Fractions."""
-    n = len(mat[0])
-    a, pivots, _ = _eliminate([list(row) + [b] for row, b in zip(mat, rhs, strict=True)], n)
-    if len(pivots) < n:
-        raise ValueError("matrix does not have full column rank")
-    if any(row[n] for row in a[n:]):
-        raise ValueError("inconsistent overdetermined system")
-    return [Fraction(row[n], row[i]) for i, row in enumerate(a[:n])]
+    y, den = _solve(mat, rhs)
+    return [Fraction(x, den) for x in y]
 
 
 # ---------------------------------------------------------------------------
 # quadratic form enumeration
 
 
-def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose a symmetric matrix as Q = R^T D R with R unit upper
-    triangular; returns (diag of D, R). Raises if Q is not positive definite.
-    """
+def _definite_minors(gram):
+    """(U, L) for a symmetric rational gram: L is the lcm of its
+    denominators and U the Bareiss rows of the integer L * gram, whose pivot
+    U[i][i] is the leading principal minor D_i. None unless the form is
+    positive definite, which by Sylvester's criterion is every D_i > 0; a row
+    swap means some D_i = 0."""
     n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    r = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        acc = q[i][i] - sum(d[k] * r[k][i] * r[k][i] for k in range(i))
-        if acc <= 0:
-            raise ValueError("form is not positive definite")
-        d[i] = acc
-        for j in range(i + 1, n):
-            acc = q[i][j] - sum(d[k] * r[k][i] * r[k][j] for k in range(i))
-            r[i][j] = acc / d[i]
-    return d, r
+    L = lcm(*(x.denominator for row in gram for x in row))
+    rows = [[x.numerator * (L // x.denominator) for x in row] for row in gram]
+    u, pivots, _, swaps = _eliminate(rows, n)
+    if swaps or len(pivots) < n or any(u[i][i] <= 0 for i in range(n)):
+        return None
+    return u, L
+
+
+def is_positive_definite(gram) -> bool:
+    """Whether the symmetric rational gram is positive definite."""
+    return _definite_minors(gram) is not None
 
 
 def quadratic_solutions(gram, target) -> list[tuple[int, ...]]:
@@ -292,24 +322,24 @@ def quadratic_solutions(gram, target) -> list[tuple[int, ...]]:
 
     Representatives are normalized so the first nonzero coordinate is
     positive, and returned sorted descending-lexicographically. Exact
-    Fincke-Pohst enumeration over the LDL decomposition, on integers.
+    Fincke-Pohst enumeration on the integer Bareiss rows U of L * gram.
 
-    With Q = R^T D R, v^T Q v = sum_i d_i (v_i + sum_{j>i} r_ij v_j)^2. Row i
-    of R is written over one denominator D_i, as integers n_ij with
-    n_ii = D_i, so level i contributes (d_i / D_i^2) x_i^2 with the integer
-    x_i = sum_{j>=i} n_ij v_j. Scaling every weight d_i / D_i^2 and the target
-    by the lcm L of their denominators makes them integers w_i and t, and
-    w_i x_i^2 <= rem holds exactly when |x_i| <= isqrt(rem // w_i).
+    With leading principal minors D_i = U[i][i] and D_{-1} = 1,
+    L * gram = U^T diag(1 / (D_{i-1} D_i)) U, so level i contributes
+    x_i^2 / (D_{i-1} D_i) with the integer x_i = sum_{j>=i} U[i][j] v_j.
+    Scaling those weights and L * target by the lcm M of their denominators
+    makes them integers w_i and t, and w_i x_i^2 <= rem holds exactly when
+    |x_i| <= isqrt(rem // w_i).
     """
     n = len(gram)
-    d, r = ldl(gram)
-    dens = [lcm(*(x.denominator for x in row)) for row in r]
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row, den in zip(r, dens)]
-    weights = [di / (den * den) for di, den in zip(d, dens)]
-    q = Fraction(target)
-    scale = lcm(q.denominator, *(w.denominator for w in weights))
-    weights = [w.numerator * (scale // w.denominator) for w in weights]
-    t = q.numerator * (scale // q.denominator)
+    if (minors := _definite_minors(gram)) is None:
+        raise ValueError("form is not positive definite")
+    u, L = minors
+    dens = [(u[i - 1][i - 1] if i else 1) * u[i][i] for i in range(n)]
+    tnum, tden = target.numerator, target.denominator
+    scale = lcm(tden, *dens)
+    weights = [scale // den for den in dens]
+    t = L * tnum * (scale // tden)
     if t < 0:
         return []
     sols = []
@@ -320,12 +350,13 @@ def quadratic_solutions(gram, target) -> list[tuple[int, ...]]:
             if rem == 0 and any(v):
                 sols.append(tuple(v))
             return
-        row, den, w = rows[i], dens[i], weights[i]
-        c = sum(row[j] * v[j] for j in range(i + 1, n))
-        # den * v_i + c must lie in [-s, s]
+        row, w = u[i], weights[i]
+        p = row[i]
+        c = sum(map(mul, row[i + 1:], v[i + 1:]))
+        # p * v_i + c must lie in [-s, s]
         s = isqrt(rem // w)
-        for vi in range(-((s + c) // den), (s - c) // den + 1):
-            x = den * vi + c
+        for vi in range(-((s + c) // p), (s - c) // p + 1):
+            x = p * vi + c
             v[i] = vi
             recurse(i - 1, rem - w * x * x)
         v[i] = 0

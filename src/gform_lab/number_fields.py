@@ -171,7 +171,7 @@ class PeriodField:
         # w / scale are the coordinates of the numerator vector num
         w = linalg.mat_vec(self._pivot_inverse, [num[i] for i in self._pivot_rows])
         for row, c in zip(self._embed_matrix, num):
-            if sum(a * b for a, b in zip(row, w)) != c * scale:
+            if sum(map(mul, row, w)) != c * scale:
                 raise ValueError("value does not lie in the period field")
         den = scale * x.den
         return tuple(Fraction(c, den) for c in w)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .arith import is_prime, units_mod
+from .arith import is_prime
 from .cyclotomic import CyclotomicNumber
 from .group_ring import (
     GroupRingElement,
@@ -223,25 +223,6 @@ def product_resolvend(a1: AlgebraElement, a2: AlgebraElement, composite=None) ->
     return _with_resolvend(h12, resolvend(a1) * resolvend(a2))
 
 
-def homomorphism_property_check(a: AlgebraElement) -> bool:
-    """Exhaustive check over the finite acting group that applying any
-    ambient automorphism to the resolvend coefficients multiplies the
-    resolvend by the corresponding group element."""
-    if a.is_split:
-        return True
-    K = a.hom.field
-    r = resolvend(a)
-    index = group_tables(a.group).element_index
-    for k in units_mod(K.conductor):
-        twisted = r.map_coefficients(
-            lambda c: c.galois(k) if isinstance(c, CyclotomicNumber) else c
-        )
-        h_omega = a.hom.sigma_image ** K.character[k]
-        if twisted != r.translate(index[h_omega]):
-            return False
-    return True
-
-
 class ReducedResolvend:
     """Canonical representative of a resolvend modulo right multiplication by
     group elements: the lexicographically minimal coefficient vector over the
@@ -286,12 +267,6 @@ def reduced_resolvend(a: AlgebraElement) -> ReducedResolvend:
 def resolvent_values(a: AlgebraElement) -> dict:
     """Character resolvents (Fourier values of the resolvend)."""
     return fourier(resolvend(a)).values
-
-
-def resolvent_norms(a: AlgebraElement) -> dict:
-    """Rational norms of the character resolvents; the only primes allowed to
-    divide them for an integral generator are the ramified ones."""
-    return {chi: v.norm_to_rational() for chi, v in resolvent_values(a).items()}
 
 
 class FactorizationResult(Record):

@@ -363,11 +363,6 @@ class EquivariantMap:
         return cls(group, values, acting_generators=unit_group_generators(lcm(m, o)))
 
     @classmethod
-    def identity_map(cls, group: FiniteAbelianGroup) -> "EquivariantMap":
-        gens = unit_group_generators(group.exponent)
-        return cls(group, [1] * group.order, acting_generators=gens)
-
-    @classmethod
     def random_map(cls, group: FiniteAbelianGroup, rng, span: int = 4) -> "EquivariantMap":
         """Random unit-valued equivariant map for the full residue group: pick
         a nonzero value in Q(zeta_|s|) on one representative per twist orbit

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gform_lab import linalg
@@ -24,6 +26,8 @@ from gform_lab.resolvends import is_self_dual, stickelberger_factorization_check
 C3 = FiniteAbelianGroup((3,))
 C5 = FiniteAbelianGroup((5,))
 C7 = FiniteAbelianGroup((7,))
+C9 = FiniteAbelianGroup((9,))
+C33 = FiniteAbelianGroup((3, 3))
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +302,62 @@ def test_invariance_is_decided_on_a_non_integral_gram(k7):
     actions[C3.element((2,))] = linalg.mat_mul(shift, shift)
     with pytest.raises(ValueError, match="not invariant"):
         GForm(C3, third, actions)
+
+
+def _generators(G):
+    return [G.element(tuple(int(j == k) for j in range(G.rank))) for k in range(G.rank)]
+
+
+def _swap_rows(m):
+    m = [list(r) for r in m]
+    m[0], m[1] = m[1], m[0]
+    return m
+
+
+@pytest.mark.parametrize("G", [C3, C9, C33], ids=["C3", "C9", "C3xC3"])
+def test_gform_validation_on_generators_rejects_every_broken_action(G):
+    # _validate checks invariance and composition on the generators only;
+    # each broken action below must still be caught
+    std = standard_form(G)
+    gens = _generators(G)
+    others = [s for s in G.elements() if not s.is_identity and s not in gens]
+    assert GForm(G, std.gram, std.actions).actions == std.actions
+    # an altered matrix of a non-generator: only composing each generator
+    # with every t (not just t = e) reaches it
+    for s in {others[0], others[-1]}:
+        actions = dict(std.actions)
+        actions[s] = _swap_rows(actions[s])
+        with pytest.raises(ValueError, match="do not compose"):
+            GForm(G, std.gram, actions)
+    # an altered matrix of a generator; still a permutation, so still invariant
+    for g in gens:
+        actions = dict(std.actions)
+        actions[g] = _swap_rows(actions[g])
+        with pytest.raises(ValueError, match="do not compose"):
+            GForm(G, std.gram, actions)
+    # M_e != I where every invariance and composition holds: the idempotent
+    # P = diag(1, 0, ..., 0) for every element, on the Gram P
+    n = G.order
+    P = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="identity"):
+        GForm(G, P, {s: P for s in G.elements()})
+    # a Gram that depends on the last exponent: a valid action, invariant
+    # under every generator but the last
+    gram = [[(1 + s.exponents[-1]) * int(i == j) for j in range(n)]
+            for i, s in enumerate(G.elements())]
+    with pytest.raises(ValueError, match=re.escape(f"not invariant under {gens[-1]}")):
+        GForm(G, gram, std.actions)
+
+
+def test_gform_positive_definiteness_on_controls():
+    from fractions import Fraction
+
+    trivial = FiniteAbelianGroup(())
+    identity = {trivial.identity(): linalg.identity_matrix(2)}
+    # [[0, 1], [1, 0]] needs a row swap, after which every pivot is positive
+    for gram in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[1, 0], [0, 0]]):
+        assert not GForm(trivial, gram, identity).is_positive_definite()
+    third = GForm(trivial, [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
+                  identity)
+    assert third.is_positive_definite()
+    assert third.pair((1, 0), (1, 1)) == 1 and third.determinant() == Fraction(1, 3)

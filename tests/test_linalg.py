@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -270,6 +271,10 @@ def _check_solve(M, rhs, kinds):
         assert linalg.mat_vec(M, x) == rhs
         sol, _params = S.gauss_jordan_solve(_sympy_matrix([[b] for b in rhs]))
         assert x == [_from_sympy(v) for v in sol]
+        # the integer form behind solve: numerators over a positive den
+        num, den = linalg._solve(M, rhs)
+        assert all(isinstance(c, int) for c in num) and isinstance(den, int) and den > 0
+        assert [Fraction(c, den) for c in num] == x
 
 
 def test_solve_matches_sympy():
@@ -293,11 +298,13 @@ def test_solve_matches_sympy():
 
 def test_det_and_solve_on_int_mixed_and_bool_entries_match_sympy():
     # all-int rows enter the elimination as they are, rows holding a Fraction
-    # get their denominators cleared, and bools count as the ints 0 and 1
+    # get their denominators cleared, and bools count as the ints 0 and 1.
+    # Up to 7 unknowns, so the back-substitution runs through several levels;
+    # every shape meets unique, rank-deficient and inconsistent systems
     rng = random.Random(15)
-    kinds = {"unique": 0, "rank": 0, "inconsistent": 0}
-    for trial in range(150):
-        n = rng.randint(1, 5)
+    kinds = [{"unique": 0, "rank": 0, "inconsistent": 0} for _ in range(3)]
+    for trial in range(240):
+        n = rng.randint(1, 7)
         m = n + rng.randint(0, 2)
         shape = trial % 3
         if shape == 0:
@@ -310,9 +317,12 @@ def test_det_and_solve_on_int_mixed_and_bool_entries_match_sympy():
         if trial % 4 == 0 and m > 1:
             M[-1] = list(M[0])
         _check_det_and_inverse(M[:n])
-        rhs = [rng.randint(-3, 3) if shape < 2 else rng.random() < 0.5 for _ in range(m)]
-        _check_solve(M, rhs, kinds)
-    assert all(kinds.values()), kinds
+        if trial % 2 and shape < 2:
+            rhs = linalg.mat_vec(M, [rng.randint(-3, 3) for _ in range(n)])
+        else:
+            rhs = [rng.randint(-3, 3) if shape < 2 else rng.random() < 0.5 for _ in range(m)]
+        _check_solve(M, rhs, kinds[shape])
+    assert all(all(k.values()) for k in kinds), kinds
 
 
 def _check_independent_rows(M, expected):
@@ -364,10 +374,7 @@ def small_definite_forms(draw):
     d = [draw(st.integers(0, 2)) for _ in range(n)]
     gram = [[sum(row[i] * row[j] for row in B) + (d[i] if i == j else 0) for j in range(n)]
             for i in range(n)]
-    try:
-        linalg.ldl(gram)
-    except ValueError:
-        assume(False)
+    assume(linalg.is_positive_definite(gram))
     return gram
 
 
@@ -389,3 +396,103 @@ def test_quadratic_solutions_match_box_enumeration(gram, target, k):
             expected.add(v if lead > 0 else tuple(-x for x in v))
     scaled = [[Fraction(x, k) for x in row] for row in gram]
     assert set(linalg.quadratic_solutions(scaled, Fraction(target, k))) == expected
+
+
+def _fraction_constructions(call) -> int:
+    """How many Fractions `call()` builds: calls of Fraction.__new__ (and of
+    the constructor behind it where the Python version has one)."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_elimination_back_substitution_and_fincke_pohst_build_no_fraction():
+    # the counter does see Fractions: solve returns them
+    assert _fraction_constructions(lambda: linalg.solve([[2, 1], [1, 1]], [1, 0])) == 2
+    M = [[2, 1, 0, 3], [1, 3, 1, 0], [0, 1, 4, 1], [5, 0, 1, 1]]
+    Mq = [[F(1, 2), 1, 0, F(3, 7)], [1, 3, F(1, 5), 0], [0, 1, 4, 1], [5, 0, 1, 1]]
+    tall = Mq + [[1, 1, 1, 1]]
+    rhs = linalg.mat_vec(tall, [1, F(2, 3), 0, -1])
+    gram = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+    gram_q = [[F(x, 3) for x in row] for row in gram]
+    two_thirds = F(2, 3)
+    calls = [
+        lambda: linalg._eliminate(M, 4),
+        lambda: linalg._eliminate(Mq, 4),
+        lambda: linalg._back_substitute(linalg._eliminate(
+            [row + [int(i == j) for j in range(4)] for i, row in enumerate(M)], 4)[0], 4),
+        lambda: linalg.inverse(M),
+        lambda: linalg.inverse(Mq),
+        lambda: linalg._solve(tall, rhs),
+        lambda: linalg.is_positive_definite(gram_q),
+        lambda: linalg.quadratic_solutions(gram, 2),
+        lambda: linalg.quadratic_solutions(gram_q, two_thirds),
+    ]
+    for call in calls:
+        assert _fraction_constructions(call) == 0
+    assert linalg.quadratic_solutions(gram_q, two_thirds) == linalg.quadratic_solutions(gram, 2) != []
+
+
+# negative controls for positive-definiteness: each fails Sylvester's
+# criterion, and the first and last need row swaps after which every pivot is
+# positive, so a test that let the elimination swap rows would pass them
+NOT_DEFINITE = [
+    [[0, 1], [1, 0]],
+    [[1, 2], [2, 1]],
+    [[1, 0], [0, 0]],
+    [[0, 0], [0, 0]],
+    [[2, 1], [1, F(1, 2)]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+]
+
+
+@pytest.mark.parametrize("gram", NOT_DEFINITE)
+def test_positive_definiteness_rejects_swaps_and_nonpositive_minors(gram):
+    assert not linalg.is_positive_definite(gram)
+    assert not sympy.Matrix(gram).is_positive_definite
+    with pytest.raises(ValueError, match="not positive definite"):
+        linalg.quadratic_solutions(gram, 1)
+
+
+def test_positive_definiteness_is_scale_invariant_for_positive_scales():
+    gram = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+    for k in (F(1, 7), F(5, 3), 4):
+        scaled = [[x * k for x in row] for row in gram]
+        assert linalg.is_positive_definite(scaled)
+        assert not linalg.is_positive_definite([[-x for x in row] for row in scaled])
+        assert linalg.quadratic_solutions(scaled, 2 * k) == linalg.quadratic_solutions(gram, 2)
+
+
+def test_positive_definiteness_matches_sympy():
+    rng = random.Random(16)
+    verdicts = set()
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        if trial % 2:
+            B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            gram = [[sum(r[i] * r[j] for r in B) + (rng.randint(0, 1) if i == j else 0)
+                     for j in range(n)] for i in range(n)]
+        else:
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randint(-3, 3) + (3 if i == j else 0)
+        if trial % 5 == 0:
+            gram = [[F(x, 3) for x in row] for row in gram]
+        expected = bool(_sympy_matrix([[F(x) for x in row] for row in gram]).is_positive_definite)
+        assert linalg.is_positive_definite(gram) == expected, gram
+        verdicts.add(expected)
+    assert verdicts == {True, False}

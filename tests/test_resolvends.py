@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gform_lab.arith import units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.group_ring import (
     GroupRingElement,
@@ -12,13 +13,12 @@ from gform_lab.group_ring import (
     try_invert,
 )
 from gform_lab.gforms import self_dual_generator
-from gform_lab.groups import FiniteAbelianGroup
+from gform_lab.groups import FiniteAbelianGroup, group_tables
 from gform_lab.number_fields import HomToG, build_field
 from gform_lab.resolvends import (
     AlgebraElement,
     _trace_table,
     ReducedResolvend,
-    homomorphism_property_check,
     inverse_resolvend,
     is_normal_basis_generator,
     is_self_dual,
@@ -26,7 +26,7 @@ from gform_lab.resolvends import (
     reduced_resolvend,
     resolvend,
     resolvend_pairing_identity,
-    resolvent_norms,
+    resolvent_values,
 )
 
 C3 = FiniteAbelianGroup((3,))
@@ -129,6 +129,25 @@ def test_self_duality_routes_disagreeing_raise(k7, h7, monkeypatch):
     monkeypatch.setattr(rsv, "_trace_table", lambda a, b: GroupRingElement.one(a.group))
     with pytest.raises(AssertionError):
         is_self_dual(AlgebraElement(h7, k7.periods[0]))
+
+
+def homomorphism_property_check(a: AlgebraElement) -> bool:
+    """Exhaustive check over the finite acting group that applying any
+    ambient automorphism to the resolvend coefficients multiplies the
+    resolvend by the corresponding group element."""
+    if a.is_split:
+        return True
+    K = a.hom.field
+    r = resolvend(a)
+    index = group_tables(a.group).element_index
+    for k in units_mod(K.conductor):
+        twisted = r.map_coefficients(
+            lambda c: c.galois(k) if isinstance(c, CyclotomicNumber) else c
+        )
+        h_omega = a.hom.sigma_image ** K.character[k]
+        if twisted != r.translate(index[h_omega]):
+            return False
+    return True
 
 
 def test_homomorphism_property(k7, h7):
@@ -248,6 +267,12 @@ def test_reduction_commutes_with_product(k7, h7):
     for t in G.elements():
         shifted = AlgebraElement(h7, a1.value_at(t))  # same reduced class as a1
         assert reduced_resolvend(product_resolvend(shifted, a2)) == base
+
+
+def resolvent_norms(a: AlgebraElement) -> dict:
+    """Rational norms of the character resolvents; the only primes allowed to
+    divide them for an integral generator are the ramified ones."""
+    return {chi: v.norm_to_rational() for chi, v in resolvent_values(a).items()}
 
 
 def test_resolvent_norms_divisibility(k7, h7):
