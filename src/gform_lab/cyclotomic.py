@@ -24,7 +24,8 @@ operand such as a root of unity or a Gaussian period, where the schoolbook
 loop is several times faster. The inverse and the norm multiply the Galois
 conjugates as a balanced product tree: a running product would multiply an
 ever larger partial product by one small conjugate at a time, which
-Kronecker substitution cannot speed up.
+Kronecker substitution cannot speed up. The inverse does so on integer
+numerators in `_adjugate`, which the group-ring orbit inversion calls too.
 
 `convolve` is the group-ring product over cyclotomic coefficients as one
 Kronecker convolution on the same slot helpers: every coefficient is lifted
@@ -41,12 +42,13 @@ exhaustive exact sweeps at desk scale.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import divisors, euler_phi, moebius, subgroup_closure
+from .arith import divisors, euler_phi, is_prime, moebius, primitive_root, subgroup_closure
 from . import linalg
 
 DEFAULT_MAX_LEVEL = 200
@@ -265,13 +267,53 @@ def convolve(a, b, table) -> list:
     return out
 
 
-def _balanced_product(factors: list["CyclotomicNumber"]) -> "CyclotomicNumber":
+def _balanced_product(factors: list, mul=operator.mul):
     """The product of a nonempty list, multiplied pairwise as a balanced
     tree, so that the two operands of every product are of similar size."""
     while len(factors) > 1:
-        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        paired = [mul(x, y) for x, y in zip(factors[::2], factors[1::2])]
         factors = paired + factors[len(paired) * 2:]
     return factors[0]
+
+
+def _product(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced numerator of the product of two level-n numerators."""
+    phi = len(a)
+    # phi < KRONECKER_MIN_TERMS already rules out enough term products,
+    # which spares the count on small levels
+    kronecker = phi >= KRONECKER_MIN_TERMS and (
+        (phi - a.count(0)) * (phi - b.count(0)) >= KRONECKER_MIN_TERMS * phi)
+    product = _kronecker_product if kronecker else _schoolbook_product
+    return _reduce(n, phi, product(a, b))
+
+
+def _conjugate(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The numerator of sigma_k(num), zeta -> zeta^k, for a unit k mod n."""
+    raw = [0] * n
+    for i, c in enumerate(num):
+        raw[i * k % n] = c
+    return _reduce(n, len(num), raw)
+
+
+@lru_cache(maxsize=None)
+def _nontrivial_units(n: int) -> tuple[int, ...]:
+    return tuple(k for k in range(2, n) if gcd(k, n) == 1)
+
+
+def _adjugate(n: int, num: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(conj, N) for a level-n integer numerator num: conj is the product of
+    the nontrivial Galois conjugates sigma_k(num), k = 2..n-1 prime to n,
+    multiplied as a balanced tree of reduced products, and N is the integer
+    conj * num, the norm of num, so that num^-1 = conj / N. An
+    ArithmeticError unless that product is a nonzero rational, as it is for
+    every nonzero num."""
+    factors = [_conjugate(n, num, k) for k in _nontrivial_units(n)]
+    conj = (_balanced_product(factors, lambda x, y: _product(n, x, y)) if factors
+            else (1,) + (0,) * (len(num) - 1))
+    norm = _product(n, conj, num)
+    if any(norm[1:]) or not norm[0]:
+        raise ArithmeticError("the product of num and its conjugates is not a nonzero rational")
+    return conj, norm[0]
 
 
 @lru_cache(maxsize=None)
@@ -432,21 +474,15 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._align(other)
-        phi = len(a.num)
-        # phi < KRONECKER_MIN_TERMS already rules out enough term products,
-        # which spares the count on small levels
-        kronecker = phi >= KRONECKER_MIN_TERMS and (
-            (phi - a.num.count(0)) * (phi - b.num.count(0)) >= KRONECKER_MIN_TERMS * phi)
-        product = _kronecker_product if kronecker else _schoolbook_product
-        return CyclotomicNumber._raw(a.level, _reduce(a.level, phi, product(a.num, b.num)),
-                                     a.den * b.den)
+        return CyclotomicNumber._raw(a.level, _product(a.level, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
         """1/x via the product of the nontrivial Galois conjugates divided by
-        the norm. Unlike a rational-coefficient Euclidean algorithm this has
-        no intermediate coefficient blowup at high degree."""
+        the norm, taken on the integer numerator by `_adjugate`. Unlike a
+        rational-coefficient Euclidean algorithm this has no intermediate
+        coefficient blowup at high degree."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         if self.is_rational():
@@ -459,9 +495,10 @@ class CyclotomicNumber:
             raw[n - k] = self.den if c > 0 else -self.den
             result = CyclotomicNumber.from_powers(n, raw, abs(c))
         else:
-            conj = _balanced_product([self.galois(k) for k in range(2, n) if gcd(k, n) == 1])
-            norm = (conj * self).to_rational()
-            result = conj * (Fraction(1) / norm)
+            # (num / den)^-1 = den * conj / N
+            conj, norm = _adjugate(n, self.num)
+            scale = self.den if norm > 0 else -self.den
+            result = CyclotomicNumber._raw(n, tuple(c * scale for c in conj), abs(norm))
         if not (result * self).is_one():
             raise ArithmeticError("inverse verification failed")
         return result
@@ -500,11 +537,8 @@ class CyclotomicNumber:
         n = self.level
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not a unit mod {n}")
-        raw = [0] * n
-        for i, c in enumerate(self.num):
-            raw[i * k % n] = c
         # an automorphism of Z[zeta_n] keeps the content
-        return CyclotomicNumber._raw(n, _reduce(n, len(self.num), raw), self.den)
+        return CyclotomicNumber._raw(n, _conjugate(n, self.num, k), self.den)
 
     def trace_to_rational(self) -> Fraction:
         """Trace down to Q."""
@@ -581,17 +615,29 @@ def prime_element_above(ell: int, level: int) -> "CyclotomicNumber":
     integral element of norm +/- ell, found by bounded search over small
     coefficient vectors. Requires ell to split completely (ell = 1 mod level),
     which makes the residue degree 1; desk-scale class numbers are trivial so
-    a generator of small height exists."""
+    a generator of small height exists.
+
+    The primes over ell are (ell, zeta - r) for the primitive level-th roots
+    of unity r mod ell, so ell divides N(x) exactly when x(r) = 0 mod ell for
+    one of them. A candidate that fails this test cannot have norm +/- ell,
+    and only the others have their norm computed."""
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     if level == 1:
         return CyclotomicNumber.rational(ell, 1)
     if ell % level != 1:
         raise ValueError(f"{ell} is not 1 mod {level}; no degree-one prime")
     phi = euler_phi(level)
+    # the powers r^i, i < phi, of each primitive level-th root r = z^k mod ell
+    z = pow(primitive_root(ell), (ell - 1) // level, ell)
+    powers = [[pow(z, k * i, ell) for i in range(phi)] for k in _nontrivial_units(level) + (1,)]
     import itertools
 
     for height in range(1, ell + 1):
         for coeffs in itertools.product(range(-height, height + 1), repeat=phi):
             if max(abs(c) for c in coeffs) != height:
+                continue
+            if all(sum(map(operator.mul, coeffs, pw)) % ell for pw in powers):
                 continue
             x = CyclotomicNumber(level, coeffs)
             if abs(x.norm_to_rational()) == ell:

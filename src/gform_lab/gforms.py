@@ -65,6 +65,8 @@ class GForm:
         self.basis_num = basis_num
         self.basis_den = basis_den
         self._validate()
+        # one elimination of the Gram per form, read by every determinant test
+        self._determinant = linalg.det(self._gram_num) / den ** self.rank
 
     def _validate(self):
         """Check that the Gram is square and symmetric and that the actions
@@ -105,7 +107,7 @@ class GForm:
         return tuple(sum(map(mul, v, col)) for col in zip(*self.actions[s]))
 
     def determinant(self) -> Fraction:
-        return linalg.det(self._gram_num) / self._gram_den ** self.rank
+        return self._determinant
 
     def is_positive_definite(self) -> bool:
         return linalg.is_positive_definite(self._gram_num)
@@ -151,9 +153,6 @@ def _build_gform_from_A(field: PeriodField, hom: HomToG) -> GForm:
     if any(x % den2 for row in num for x in row):
         raise ArithmeticError("trace Gram of the A-basis is not integral")
     gram = [[x // den2 for x in row] for row in num]
-    d = linalg.det(gram)
-    if abs(d) != 1:
-        raise ArithmeticError(f"A-form has determinant {d}, expected a unit")
     # generator acts through the Galois power t pinned by the identification:
     # B S^t B^-1, where row . S^t is sigma_coords(row, t)
     t = hom.galois_power(hom.group.element((1,)))
@@ -167,7 +166,7 @@ def _build_gform_from_A(field: PeriodField, hom: HomToG) -> GForm:
     for j in range(p):
         actions[hom.group.element((j,))] = [row[:] for row in acc]
         acc = linalg.mat_mul(acc, m_gen)
-    return GForm(
+    form = GForm(
         hom.group,
         gram,
         actions,
@@ -177,6 +176,9 @@ def _build_gform_from_A(field: PeriodField, hom: HomToG) -> GForm:
         basis_num=tuple(tuple(r) for r in A.num),
         basis_den=A.den,
     )
+    if abs(d := form.determinant()) != 1:
+        raise ArithmeticError(f"A-form has determinant {d}, expected a unit")
+    return form
 
 
 class IsometryWitness(Record):

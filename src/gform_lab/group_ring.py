@@ -19,20 +19,29 @@ decided; a regular-representation linear solve is an independent oracle.
 orbit route: QG splits as a product of fields Q(zeta_d), one per rational
 orbit of characters (Perlis-Walker), and the Fourier values along an orbit
 are Galois conjugates. So it inverts one Fourier value per orbit, at level
-d = ord(chi), and returns to QG through traces Tr_{Q(zeta_d)/Q}. Any other
-element takes the per-character route (`fourier`, one inverse per character,
-`fourier_inverse`). Both routes verify the inverse by multiplying back.
+d = ord(chi), and returns to QG through traces Tr_{Q(zeta_d)/Q}. The route
+runs on integer numerators from end to end: each Fourier sum is reduced
+modulo Phi_d, `cyclotomic._adjugate` gives the product conj of its
+nontrivial conjugates and its norm N = conj * x, verified to be rational,
+so that x^-1 = conj / N, and the traces are integer dot products with the
+trace table. It builds no Fraction and no CyclotomicNumber. Any other
+element takes the per-character route (`fourier`, one inverse per
+character, `fourier_inverse`). Both routes verify the inverse by
+multiplying back. The regular-representation oracle fills its integer
+matrix for a rational element straight from the product table.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .arith import euler_phi
-from .cyclotomic import CyclotomicNumber, _trace_table, convolve
+from .cyclotomic import CyclotomicNumber, _adjugate, _reduce, _trace_table, convolve
 from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
 
 
@@ -97,7 +106,8 @@ class GroupRingElement:
     def _rational(cls, group, num, den: int = 1) -> "GroupRingElement":
         """From integer numerators per element index over den > 0."""
         g = gcd(den, *num)
-        return object.__new__(cls)._set(group, tuple(x // g for x in num), den // g, None)
+        num = tuple(num) if g == 1 else tuple(x // g for x in num)
+        return object.__new__(cls)._set(group, num, den // g, None)
 
     @classmethod
     def zero(cls, group):
@@ -365,18 +375,27 @@ def _invert_by_characters(gamma: GroupRingElement) -> GroupRingElement:
     return fourier_inverse(FourierVector(gamma.group, vec.level, inv_values))
 
 
+@lru_cache(maxsize=None)
+def _trace_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """rows[k][j] = Tr_{Q(zeta_d)/Q}(zeta_d^(j-k)) for k < d and j < phi(d):
+    the trace of zeta_d^-k x is the dot product of row k with the numerator
+    of x."""
+    table = _trace_table(d)
+    return tuple(tuple(table[(j - k) % d] for j in range(euler_phi(d))) for k in range(d))
+
+
 def _invert_by_orbits(gamma: GroupRingElement) -> GroupRingElement:
-    """For rational gamma: the Fourier value at the representative chi of
-    each orbit, an element of Q(zeta_d) with d = ord(chi), is inverted once,
-    to w; the inverse has coefficients
+    """For rational gamma = num / den: the Fourier value at the
+    representative chi of each orbit, x / den with x in Z[zeta_d] and
+    d = ord(chi), is inverted once, to w = den * conj / N for the adjugate
+    conj of x and its norm N = conj * x; the inverse has coefficients
     c_s = (1/|G|) sum over orbits of Tr_{Q(zeta_d)/Q}(chi(s)^-1 * w),
     because the values at the other members chi^k of the orbit are the
-    conjugates sigma_k(w)."""
+    conjugates sigma_k(w). Everything runs on integer numerators."""
     G = gamma.group
     T = group_tables(G)
-    den = gamma.den
     terms = [(i, c) for i, c in enumerate(gamma.num) if c]
-    values = []
+    inverses = []
     for rep, d in T.orbits:
         # chi(s) = zeta_m^e with (m/d) | e, i.e. zeta_d^(e/(m/d))
         step = G.exponent // d
@@ -384,24 +403,24 @@ def _invert_by_orbits(gamma: GroupRingElement) -> GroupRingElement:
         raw = [0] * d
         for i, c in terms:
             raw[exps[i] // step] += c
-        value = CyclotomicNumber.from_powers(d, raw, den)
-        if value.is_zero():
+        x = _reduce(d, euler_phi(d), raw)
+        if not any(x):
             chi = T.characters[rep]
             raise NotInvertible(f"Fourier value vanishes at {chi}", character=chi)
-        values.append((step, exps, value))
-    inverses = [(step, exps, value.inverse()) for step, exps, value in values]
-    common = lcm(*(w.den for _, _, w in inverses))
+        # _adjugate verifies conj * x = N * 1 with N != 0
+        conj, norm = _adjugate(d, x)
+        inverses.append((step, exps, d, conj, norm))
+    common = lcm(*(abs(norm) for *_, norm in inverses))
     acc = [0] * G.order
-    for step, exps, w in inverses:
-        # traces[k] = (common / w.den) * sum_j w.num[j] * Tr(zeta_d^(j-k))
-        #           = common * Tr(zeta_d^-k * w)
-        d, table, scale = w.level, _trace_table(w.level), common // w.den
-        traces = [
-            scale * sum(c * table[(j - k) % d] for j, c in enumerate(w.num)) for k in range(d)
-        ]
+    for step, exps, d, conj, norm in inverses:
+        # traces[k] = (common / N) * sum_j conj[j] * Tr(zeta_d^(j-k))
+        #           = common * Tr(zeta_d^-k * conj / N)
+        scale = common // norm
+        traces = [scale * sum(map(mul, conj, row)) for row in _trace_rows(d)]
         for i, e in enumerate(exps):
             acc[i] += traces[e // step]
-    return GroupRingElement._rational(G, acc, common * G.order)
+    den = gamma.den
+    return GroupRingElement._rational(G, [den * a for a in acc], common * G.order)
 
 
 def is_integral_unit(gamma: GroupRingElement) -> bool:
@@ -440,43 +459,55 @@ def class_membership(gamma: GroupRingElement) -> SelfDualityClass:
 
 def invert_by_linear_solve(gamma: GroupRingElement) -> GroupRingElement:
     """Independent inversion oracle: solve gamma * x = 1 in the regular
-    representation over Q by one exact integer elimination. A rational gamma
-    enters as its |G| integer numerators, against the right-hand side den * 1.
+    representation over Q by one exact integer elimination. Column j of the
+    matrix holds gamma * t_j, which has the coefficient of s at s t_j. A
+    rational gamma enters as its |G| integer numerators, entry
+    (prod[i][j], j) = num[i], against the right-hand side den * 1.
     Coefficients in Q(zeta_L), L the coefficient level, enter by restriction
     of scalars: each becomes the phi(L) x phi(L) matrix of multiplication by
     it on the power basis, so the system has |G| phi(L) unknowns."""
     G = gamma.group
     T = group_tables(G)
-    level = gamma.coefficient_level()
-    phi = euler_phi(level)
-    size = len(T.elements) * phi
-    mat = [[0] * size for _ in range(size)]
-    rational = gamma.is_rational()
-    for i, c in enumerate(gamma.num if rational else gamma.values):
-        if not c:
-            continue
-        # column k of the block of c: the coordinates of c * zeta^k
-        if isinstance(c, CyclotomicNumber):
-            cols = [(c * CyclotomicNumber.zeta(level, k)).coeffs for k in range(phi)]
-        else:
-            cols = [[c if r == k else 0 for r in range(phi)] for k in range(phi)]
-        block = list(zip(*cols))
-        # gamma * t_j has c at s t_j = elements[k]
-        for j, k in enumerate(T.prod[i]):
-            for r, block_row in enumerate(block):
-                mat[k * phi + r][j * phi : (j + 1) * phi] = block_row
-    rhs = [0] * size
-    rhs[0] = gamma.den if rational else 1  # at zeta^0 times the identity, elements[0]
-    try:
-        x, den = linalg._solve(mat, rhs)
-    except ValueError as exc:
-        raise NotInvertible("regular representation is singular") from exc
-    if phi > 1:
+    n = len(T.elements)
+    if gamma.is_rational():
+        mat = [[0] * n for _ in range(n)]
+        for c, row in zip(gamma.num, T.prod):
+            if c:
+                for j, k in enumerate(row):
+                    mat[k][j] = c
+        x, den = _solve_regular(mat, gamma.den)
+        out = GroupRingElement._rational(G, x, den)
+    else:
+        level = gamma.coefficient_level()
+        phi = euler_phi(level)
+        mat = [[0] * (n * phi) for _ in range(n * phi)]
+        for c, row in zip(gamma.values, T.prod):
+            if not c:
+                continue
+            # column k of the block of c: the coordinates of c * zeta^k
+            if isinstance(c, CyclotomicNumber):
+                cols = [(c * CyclotomicNumber.zeta(level, k)).coeffs for k in range(phi)]
+            else:
+                cols = [[c if r == k else 0 for r in range(phi)] for k in range(phi)]
+            block = list(zip(*cols))
+            for j, k in enumerate(row):
+                for r, block_row in enumerate(block):
+                    mat[k * phi + r][j * phi : (j + 1) * phi] = block_row
+        x, den = _solve_regular(mat, 1)
         out = GroupRingElement._dense(G, [
             _demote(CyclotomicNumber._raw(level, tuple(x[j * phi : (j + 1) * phi]), den))
-            for j in range(len(T.elements))])
-    else:
-        out = GroupRingElement._rational(G, x, den)
+            for j in range(n)])
     if not (out * gamma == GroupRingElement.one(G)):
         raise ArithmeticError("linear-solve inverse verification failed")
     return out
+
+
+def _solve_regular(mat, scale: int) -> tuple[list[int], int]:
+    """(numerators, den) of the x with mat @ x = scale * e_0, for e_0 the
+    identity at zeta^0; NotInvertible when mat is singular."""
+    rhs = [0] * len(mat)
+    rhs[0] = scale
+    try:
+        return linalg._solve(mat, rhs)
+    except ValueError as exc:
+        raise NotInvertible("regular representation is singular") from exc

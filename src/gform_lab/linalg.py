@@ -20,7 +20,8 @@ its result that way, as (rows, den) with gcd(den, *rows) = 1, and builds no
 Fraction. `preimage_lattice(rows, den)` is the one lattice constructor: every
 lattice the package builds is {x : (rows/den) @ x integral} for an integer
 matrix and a den its caller knows, returned as (rows, den) in canonical form.
-It uses both cores: an HNF, its integer inverse, and an HNF again.
+It takes an HNF, inverts that triangular matrix by back-substitution alone,
+and takes an HNF again.
 
 `quadratic_solutions` enumerates the vectors of a given length by
 Fincke-Pohst on the same elimination: the Bareiss rows U of the Gram scaled
@@ -157,8 +158,16 @@ def preimage_lattice(rows: list[list[int]], den: int) -> tuple[list[list[int]], 
     H = hnf(rows)
     if len(H) != n:
         raise ValueError("matrix does not have full column rank")
-    hinv, hden = inverse(H)
-    basis = hnf([[den * c for c in col] for col in zip(*hinv)])
+    # H is upper triangular with a positive diagonal: back-substitution
+    # alone gives D * H^-1 for D = det H, the product of the diagonal
+    D = 1
+    for i in range(n):
+        D *= H[i][i]
+    cols, _ = _back_substitute([row + [int(i == j) for j in range(n)] for i, row in enumerate(H)],
+                               n, D)
+    g = gcd(D, *(c for col in cols for c in col))
+    hden = D // g
+    basis = hnf([[den * (c // g) for c in col] for col in cols])
     g = gcd(hden, *(c for row in basis for c in row))
     return [[c // g for c in row] for row in basis], hden // g
 
@@ -222,12 +231,15 @@ def _eliminate(mat, ncols: int):
     return a, pivots, d, swaps
 
 
-def _back_substitute(a, n: int) -> tuple[list[list[int]], int]:
-    """(Y, D) for rows a of [A | B] that `_eliminate` left with pivots in
-    columns 0..n-1: D is the last pivot, the determinant of the scaled and
-    swapped A, and Y, one list per column of B, is the integral (Cramer)
-    D * A^-1 B. Row k gives a[k][k] * Y_k exactly, from the bottom up."""
-    D = a[n - 1][n - 1]
+def _back_substitute(a, n: int, D: int | None = None) -> tuple[list[list[int]], int]:
+    """(Y, D) for rows a of [A | B] with A upper triangular and nonsingular,
+    as `_eliminate` leaves them with pivots in columns 0..n-1: Y, one list
+    per column of B, is D * A^-1 B, which is integral (Cramer) for D the
+    determinant of A. D defaults to the last pivot, which is that
+    determinant for the Bareiss rows. Row k gives a[k][k] * Y_k exactly,
+    from the bottom up."""
+    if D is None:
+        D = a[n - 1][n - 1]
     cols = []
     for c in range(n, len(a[0])):
         y = [0] * n

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .arith import euler_phi, unit_group_generators, units_mod
@@ -157,25 +158,21 @@ def pairing(psi, alpha, group: FiniteAbelianGroup | None = None) -> Fraction:
     return acc
 
 
-def _image_numerators(psi: DualLatticeElement) -> list[int]:
-    """The integers sum_chi psi_chi * upsilon(chi, s), in element order: |s|
-    times the coefficient <psi, s> of s in the Stickelberger image of psi."""
-    G = psi.group
-    _require_odd(G)
-    acc = [0] * G.order
-    for row, n in zip(group_tables(G).upsilon, psi.coeffs):
-        if n:
-            for i, u in enumerate(row):
-                acc[i] += n * u
-    return acc
+def _image_numerators(group: FiniteAbelianGroup, coeffs) -> list[int]:
+    """The integers sum_chi psi_chi * upsilon(chi, s), in element order, for
+    the integer coefficients of psi: |s| times the coefficient <psi, s> of s
+    in the Stickelberger image of psi."""
+    _require_odd(group)
+    return [sum(map(mul, coeffs, col)) for col in zip(*group_tables(group).upsilon)]
 
 
-def _image_exponents(psi: DualLatticeElement) -> list[int]:
-    """The integer exponents n_s of the image sum_s n_s s of psi, each
-    numerator divided by |s| exactly; a ValueError when psi is outside the
-    determinant kernel, where some division leaves a remainder."""
+def _image_exponents(group: FiniteAbelianGroup, coeffs) -> list[int]:
+    """The integer exponents n_s of the image sum_s n_s s of the psi with
+    these integer coefficients, each numerator divided by |s| exactly; a
+    ValueError when psi is outside the determinant kernel, where some
+    division leaves a remainder."""
     out = []
-    for a, o in zip(_image_numerators(psi), group_tables(psi.group).orders):
+    for a, o in zip(_image_numerators(group, coeffs), group_tables(group).orders):
         q, r = divmod(a, o)
         if r:
             raise ValueError("psi is outside the determinant kernel; exponents not integral")
@@ -188,7 +185,8 @@ def stickelberger_map(psi: DualLatticeElement) -> StickelbergerVector:
     are summed as integers, then divided by |s| once per element."""
     orders = group_tables(psi.group).orders
     return StickelbergerVector(
-        psi.group, tuple(Fraction(a, o) for a, o in zip(_image_numerators(psi), orders))
+        psi.group,
+        tuple(Fraction(a, o) for a, o in zip(_image_numerators(psi.group, psi.coeffs), orders)),
     )
 
 
@@ -393,22 +391,21 @@ class EquivariantMap:
         return cls(group, values, acting_generators=gens)
 
 
-def _split_transpose(
-    f: EquivariantMap, psi: DualLatticeElement
-) -> tuple[CyclotomicNumber, CyclotomicNumber]:
+def _split_transpose(f: EquivariantMap, coeffs) -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """(prod_{n_s > 0} f(s)^(n_s), prod_{n_s < 0} f(s)^(-n_s)) where the
-    image of psi is sum n_s s (psi must sit in the determinant kernel so that
-    the exponents are integers). Neither product takes an inverse, and a zero
-    exponent vector takes no product at all."""
+    image of the psi with these integer coefficients is sum n_s s (psi must
+    sit in the determinant kernel so that the exponents are integers).
+    Neither product takes an inverse, and a zero exponent vector takes no
+    product at all."""
     pos = neg = None
-    for v, e in zip(f.values, _image_exponents(psi)):
+    for v, e in zip(f.values, _image_exponents(f.group, coeffs)):
         if e > 0:
             x = v**e
             pos = x if pos is None else pos * x
         elif e < 0:
             x = v**-e
             neg = x if neg is None else neg * x
-    one = CyclotomicNumber.rational(1, 1)
+    one = CyclotomicNumber._raw(1, (1,))
     return (one if pos is None else pos), (one if neg is None else neg)
 
 
@@ -423,7 +420,7 @@ def transpose_value(f: EquivariantMap, psi: DualLatticeElement) -> CyclotomicNum
     exponents are read off integer numerators; the positive and negative
     parts are multiplied out separately, so the value costs at most one
     inverse, whatever the number of negative exponents."""
-    pos, neg = _split_transpose(f, psi)
+    pos, neg = _split_transpose(f, psi.coeffs)
     return pos if neg.is_one() else pos * neg.inverse()
 
 
@@ -455,9 +452,13 @@ def image_selfdual_check(f: EquivariantMap) -> bool:
     without a division. This is exactly equivalent because n is a product of
     values of f, and EquivariantMap rejects a vanishing value at
     construction. Since upsilon(chi^-1, s) = -upsilon(chi, s), the exponents
-    of psi + conj psi are all zero, and then no product is taken."""
-    for psi in det_kernel_basis(f.group):
-        pos, neg = _split_transpose(f, psi + psi.conjugate())
+    of psi + conj psi are all zero, and then no product is taken. The basis
+    rows and their conjugates are integer `group_tables` rows, read through
+    the `conjugate` permutation of the characters."""
+    T = group_tables(f.group)
+    conj = T.conjugate
+    for row in T.kernel_basis:
+        pos, neg = _split_transpose(f, [a + row[c] for a, c in zip(row, conj)])
         if not (pos == neg):
             return False
     return True

@@ -13,7 +13,6 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
 
 from .arith import factorize, is_prime, is_squarefree, unit_group_generators
 from .groups import FiniteAbelianGroup
@@ -23,6 +22,7 @@ from . import gforms
 from . import resolvends as rsv
 from .number_fields import HomToG, build_field, different, dual_lattice, sqrt_inverse_different, trace_gram
 from . import linalg
+from .record import Record
 
 SCHEMA_VERSION = 1
 
@@ -30,13 +30,15 @@ ACCEPTANCE_GROUPS = [(3,), (5,), (7,), (9,), (3, 3)]
 WITNESS_CONDUCTORS_DEG3 = (7, 13, 19, 31, 37, 43)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 1
-    conductor_bound: int = 100
-    groups: tuple[tuple[int, ...], ...] = tuple(ACCEPTANCE_GROUPS)
-    include_timings: bool = False
-    out_dir: str | None = None
+class SuiteConfig(Record):
+    __slots__ = ("seed", "conductor_bound", "groups", "include_timings", "out_dir")
+
+    def __init__(self, seed: int = 1, conductor_bound: int = 100,
+                 groups: tuple[tuple[int, ...], ...] = tuple(ACCEPTANCE_GROUPS),
+                 include_timings: bool = False, out_dir: str | None = None):
+        for field, value in zip(self.__slots__, (seed, conductor_bound, groups, include_timings,
+                                                 out_dir)):
+            object.__setattr__(self, field, value)
 
     def rng(self, check_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{check_id}")
@@ -50,13 +52,14 @@ class SuiteConfig:
         }
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    name: str
-    status: str
-    details: dict
-    elapsed: float = 0.0
+class CheckResult(Record):
+    __slots__ = ("check_id", "name", "status", "details", "elapsed")
+    __hash__ = None  # details is a dict
+
+    def __init__(self, check_id: str, name: str, status: str, details: dict,
+                 elapsed: float = 0.0):
+        for field, value in zip(self.__slots__, (check_id, name, status, details, elapsed)):
+            object.__setattr__(self, field, value)
 
     @property
     def passed(self) -> bool:
@@ -71,11 +74,16 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
-    suite: str
-    config: SuiteConfig
-    checks: list[CheckResult] = dataclass_field(default_factory=list)
+class Report(Record):
+    """A suite's results; `run_suite` appends to the `checks` list."""
+
+    __slots__ = ("suite", "config", "checks")
+    __hash__ = None  # checks is a list
+
+    def __init__(self, suite: str, config: SuiteConfig, checks: list[CheckResult] | None = None):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "checks", [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

@@ -11,8 +11,10 @@ from gform_lab.arith import euler_phi
 from gform_lab.cyclotomic import (
     CyclotomicNumber,
     LevelBoundError,
+    _adjugate,
     compatible_root,
     cyclotomic_polynomial,
+    prime_element_above,
     trace_to_subfield,
 )
 
@@ -351,7 +353,7 @@ def test_single_term_inverse_takes_no_conjugates(n, c, monkeypatch):
     # product, for every power-basis index k, with the result still verified
     import gform_lab.cyclotomic as cyclotomic
 
-    def no_product(factors):
+    def no_product(*args):
         raise AssertionError("a single-term value took the conjugate product")
 
     monkeypatch.setattr(cyclotomic, "_balanced_product", no_product)
@@ -362,3 +364,68 @@ def test_single_term_inverse_takes_no_conjugates(n, c, monkeypatch):
         assert_canonical(inv)
         assert (inv * a).is_one()
         assert inv.coeffs == from_sympy_poly(sympy.invert(to_sympy(a), phi_poly(n)), n)
+
+
+@pytest.mark.parametrize("n", [3, 7, 9, 21, 91])
+def test_adjugate_is_the_conjugate_product_over_the_norm(n, monkeypatch):
+    # N = conj * num is the norm of num, i.e. den^phi times the norm of
+    # num / den, and conj / N is the inverse of num
+    rng = random.Random(n)
+    phi = euler_phi(n)
+    shapes = ["dense", "sparse", "single"]
+    for shape in shapes * (2 if n == 91 else 4):
+        while True:
+            if shape == "single":
+                k = rng.randrange(phi)
+                coeffs = [Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4)) if j == k
+                          else 0 for j in range(phi)]
+            else:
+                density = 1.0 if shape == "dense" else 0.3
+                coeffs = [Fraction(rng.randint(-6, 6), rng.randrange(1, 5))
+                          if rng.random() < density else 0 for _ in range(phi)]
+            x = CyclotomicNumber(n, coeffs)
+            if not x.is_zero():
+                break
+        conj, norm = _adjugate(n, x.num)
+        assert isinstance(norm, int) and len(conj) == phi
+        assert norm == x.norm_to_rational() * x.den ** phi
+        assert CyclotomicNumber._raw(n, conj) * CyclotomicNumber._raw(n, x.num) == norm
+        assert x.inverse() == CyclotomicNumber._raw(n, conj) * Fraction(x.den, norm)
+    with pytest.raises(ArithmeticError, match="nonzero rational"):
+        _adjugate(n, (0,) * phi)
+    # with every conjugate replaced by the value itself the product is
+    # x^phi, not rational, and the check must see it
+    import gform_lab.cyclotomic as cyclotomic
+
+    monkeypatch.setattr(cyclotomic, "_conjugate", lambda n, num, k: num)
+    with pytest.raises(ArithmeticError, match="nonzero rational"):
+        _adjugate(n, Z(n).num)
+
+
+# the first element of norm +/- ell in the search order, before the residue
+# prefilter skipped candidates whose norm ell cannot divide
+PINNED_PRIME_ELEMENTS = {
+    (7, 3): (-2, 1),
+    (13, 3): (-3, 1),
+    (19, 3): (-3, 2),
+    (31, 3): (-5, 1),
+    (37, 3): (-4, 3),
+    (11, 5): (-1, -1, -1, 1),
+    (31, 5): (-2, -2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("ell, level", sorted(PINNED_PRIME_ELEMENTS), ids=str)
+def test_prime_element_above_is_pinned(ell, level):
+    x = prime_element_above(ell, level)
+    assert x.level == level and x.den == 1
+    assert x.num == PINNED_PRIME_ELEMENTS[ell, level]
+    assert abs(x.norm_to_rational()) == ell
+
+
+def test_prime_element_above_rejects_bad_primes():
+    with pytest.raises(ValueError, match="not prime"):
+        prime_element_above(91, 3)
+    with pytest.raises(ValueError, match="not 1 mod"):
+        prime_element_above(11, 3)
+    assert prime_element_above(7, 1) == 7

@@ -247,6 +247,33 @@ def test_gform_from_A_is_built_once_per_identification(monkeypatch):
     assert inverse.gram == form.gram and inverse.actions != form.actions
 
 
+@pytest.mark.parametrize("p, f", [(3, 7), (3, 13), (5, 11)])
+def test_a_form_gram_is_eliminated_once_for_its_determinant(p, f, monkeypatch):
+    # built directly, not interned, so that no form is memoized yet
+    import gform_lab.number_fields as nf
+
+    interned = build_field(p, f)
+    K = nf.PeriodField(p, f, interned.character, interned.generator)
+    grams = []
+    eliminate = linalg._eliminate
+
+    def recording(mat, ncols):
+        grams.append([list(row) for row in mat])
+        return eliminate(mat, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    form = gform_from_A(K)
+    gram = [list(row) for row in form._gram_num]
+    assert grams.count(gram) == 1  # the determinant, once, at construction
+    assert abs(form.determinant()) == 1
+    assert grams.count(gram) == 1  # reading it eliminates nothing
+    witness = find_self_dual_generator(form)
+    assert witness is not None and witness.verify()
+    # the Fincke-Pohst set-up is the only other elimination of the Gram
+    assert grams.count(gram) == 2
+    assert form.determinant() == linalg.det(gram)
+
+
 def test_isometry_equivalence(k7):
     std = standard_form(C3)
     formA = gform_from_A(k7)

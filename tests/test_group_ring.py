@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -11,6 +12,8 @@ from gform_lab.group_ring import (
     GroupRingElement,
     NotInvertible,
     SelfDualityClass,
+    _invert_by_characters,
+    _invert_by_orbits,
     class_membership,
     fourier,
     fourier_inverse,
@@ -543,3 +546,97 @@ def test_translation_matches_the_convolution_product(G):
             assert [_shape(c) for c in moved.values or ()] == [
                 _shape(c) for c in product.values or ()]
             assert moved.translate(group_tables(G).inverse[i]) == a
+
+
+# -- the integer orbit route against the regular-representation oracle -------
+
+# every abelian group of odd order up to 27, the trivial group included
+ODD_GROUPS_TO_27 = [FiniteAbelianGroup(f) for f in [
+    (), (3,), (5,), (7,), (9,), (3, 3), (11,), (13,), (15,), (17,), (19,), (21,), (23,),
+    (25,), (5, 5), (27,), (3, 9), (3, 3, 3)]]
+
+
+def _inverse_or_none(route, gamma):
+    try:
+        return route(gamma)
+    except NotInvertible:
+        return None
+
+
+@pytest.mark.parametrize("G", ODD_GROUPS_TO_27, ids=str)
+def test_orbit_route_matches_the_linear_solve_oracle(G):
+    rng = random.Random(G.order)
+    elems = G.elements()
+    units = []
+    for _ in range(4):
+        gamma = rand_element(G, rng)
+        # (1 - g) vanishes at every character trivial on g, and the sum over
+        # <g> at every character that is not: both products are singular
+        t = rng.choice(elems[1:] or elems)
+        g = GroupRingElement.from_element(t)
+        orbit_sum = sum((g**k for k in range(t.order())), GroupRingElement.zero(G))
+        for candidate in (gamma, gamma * (1 - g), gamma * orbit_sum):
+            inv = _inverse_or_none(try_invert, candidate)
+            assert inv == _inverse_or_none(invert_by_linear_solve, candidate)
+            if inv is not None:
+                assert inv * candidate == GroupRingElement.one(G)
+                units.append(candidate)
+    assert units
+    with pytest.raises(NotInvertible):
+        try_invert(GroupRingElement.zero(G))
+    with pytest.raises(NotInvertible):
+        invert_by_linear_solve(GroupRingElement.zero(G))
+
+
+def _constructions(call, codes) -> int:
+    """How many calls of the given code objects `call()` makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("G", [C3, C9, C33, FiniteAbelianGroup((21,))], ids=str)
+def test_orbit_route_builds_no_fraction_and_no_cyclotomic_number(G):
+    # every Fraction starts in Fraction.__new__ (or the constructor behind it
+    # where the Python version has one); every CyclotomicNumber in __init__
+    # or _raw
+    codes = {Fraction.__new__.__code__, CyclotomicNumber.__init__.__code__,
+             CyclotomicNumber._raw.__func__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    rng = random.Random(29)
+    gamma = _invertible_rational(G, rng) * Fraction(1, 7)
+    assert gamma.den > 1
+    # the counter does see both: the per-character route builds them
+    assert _constructions(lambda: _invert_by_characters(gamma), codes) > 0
+    assert _constructions(lambda: _invert_by_orbits(gamma), codes) == 0
+    assert _invert_by_orbits(gamma) == _invert_by_characters(gamma)
+
+
+def test_both_routes_check_their_inverse_by_multiplying_back(monkeypatch):
+    import gform_lab.group_ring as group_ring
+    import gform_lab.linalg as linalg
+
+    gamma = _invertible_rational(C9, random.Random(31))
+    solve, by_orbits = linalg._solve, group_ring._invert_by_orbits
+
+    def off_by_one(mat, rhs):
+        x, den = solve(mat, rhs)
+        return [x[0] + den] + x[1:], den
+
+    monkeypatch.setattr(linalg, "_solve", off_by_one)
+    with pytest.raises(ArithmeticError, match="linear-solve inverse verification"):
+        invert_by_linear_solve(gamma)
+    monkeypatch.setattr(group_ring, "_invert_by_orbits", lambda g: by_orbits(g) + 1)
+    with pytest.raises(ArithmeticError, match="inverse verification"):
+        try_invert(gamma)

@@ -93,6 +93,28 @@ def test_preimage_lattice_membership():
             assert in_preimage == in_lattice, (M, den, y)
 
 
+def test_triangular_back_substitution_inverts_an_hnf():
+    # preimage_lattice inverts its HNF by back-substitution alone, scaled by
+    # the product of the diagonal; that must be det * H^-1 as sympy has it,
+    # and, reduced, what the Bareiss inverse returns
+    rng = random.Random(11)
+    done = 0
+    while done < 40:
+        n = rng.randrange(1, 7)
+        rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n + rng.randrange(2))]
+        H = linalg.hnf(rows)
+        if len(H) < n:
+            continue
+        D = prod(H[i][i] for i in range(n))
+        cols, d = linalg._back_substitute([row + [int(i == j) for j in range(n)]
+                                           for i, row in enumerate(H)], n, D)
+        assert d == D == sympy.Matrix(H).det()
+        assert sympy.Matrix(cols).T == D * sympy.Matrix(H).inv()
+        g = gcd(D, *(c for col in cols for c in col))
+        assert linalg.inverse(H) == ([[c // g for c in row] for row in zip(*cols)], D // g)
+        done += 1
+
+
 def test_det_and_inverse():
     M = [[2, 1], [1, 1]]
     assert linalg.det(M) == 1

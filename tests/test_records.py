@@ -152,3 +152,59 @@ def test_suite_names_load_on_first_use():
 
     with pytest.raises(AttributeError, match="no attribute 'bogus'"):
         gform_lab.bogus
+
+
+def test_suite_records_match_their_dataclasses():
+    from gform_lab.suites import ACCEPTANCE_GROUPS, CheckResult, Report, SuiteConfig
+
+    none = dataclasses.MISSING
+    cases = [
+        (SuiteConfig, True, [("seed", 1), ("conductor_bound", 100),
+                             ("groups", tuple(ACCEPTANCE_GROUPS)), ("include_timings", False),
+                             ("out_dir", None)], [5, 50, ((3,),), True, "out"]),
+        (CheckResult, False, [("check_id", none), ("name", none), ("status", none),
+                              ("details", none), ("elapsed", 0.0)], ["C1", "n", "pass", {}, 0.5]),
+    ]
+    for cls, frozen, fields, values in cases:
+        spec = [(n, object) if d is none else (n, object, dataclasses.field(default=d))
+                for n, d in fields]
+        twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=frozen)
+        obj, ref = cls(*values), twin(*values)
+        assert repr(obj) == repr(ref)
+        required = sum(d is none for _, d in fields)
+        assert repr(cls(*values[:required])) == repr(twin(*values[:required]))
+        params = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+        assert params == [(p.name, p.default) for p in inspect.signature(twin).parameters.values()]
+        assert obj == cls(*values) and obj != ref
+        if frozen:
+            assert hash(obj) == hash(ref)
+        else:
+            with pytest.raises(TypeError):
+                hash(obj)
+    # a Report's checks default to a fresh list, which run_suite appends to
+    config = SuiteConfig()
+    a, b = Report("all", config), Report("all", config)
+    a.checks.append(CheckResult("C1", "n", "pass", {}))
+    assert b.checks == [] and a != b
+    assert repr(b) == f"Report(suite='all', config={config!r}, checks=[])"
+    with pytest.raises(TypeError):
+        hash(b)
+    with pytest.raises(AttributeError):
+        b.checks = []
+
+
+def test_no_library_module_imports_dataclasses():
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "gform_lab"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
