@@ -24,8 +24,9 @@ operand such as a root of unity or a Gaussian period, where the schoolbook
 loop is several times faster. The inverse and the norm multiply the Galois
 conjugates as a balanced product tree: a running product would multiply an
 ever larger partial product by one small conjugate at a time, which
-Kronecker substitution cannot speed up. The inverse does so on integer
-numerators in `_adjugate`, which the group-ring orbit inversion calls too.
+Kronecker substitution cannot speed up. Both run on integer numerators in
+`_adjugate`, the one norm kernel, which the group-ring orbit inversion and
+the prime-element search call too.
 
 `convolve` is the group-ring product over cyclotomic coefficients as one
 Kronecker convolution on the same slot helpers: every coefficient is lifted
@@ -267,7 +268,7 @@ def convolve(a, b, table) -> list:
     return out
 
 
-def _balanced_product(factors: list, mul=operator.mul):
+def _balanced_product(factors: list, mul):
     """The product of a nonempty list, multiplied pairwise as a balanced
     tree, so that the two operands of every product are of similar size."""
     while len(factors) > 1:
@@ -546,10 +547,11 @@ class CyclotomicNumber:
         return Fraction(sum(c * t for c, t in zip(self.num, table)), self.den)
 
     def norm_to_rational(self) -> Fraction:
-        """Norm down to Q (product over the full Galois orbit)."""
-        n = self.level
-        return _balanced_product([self.galois(k) for k in range(1, n + 1) if gcd(k, n) == 1]
-                                 ).to_rational()
+        """Norm down to Q: the norm of the numerator from `_adjugate`, over
+        den^phi."""
+        if self.is_zero():
+            return Fraction(0)
+        return Fraction(_adjugate(self.level, self.num)[1], self.den ** len(self.num))
 
     # -- predicates and conversions ----------------------------------------
 
@@ -639,9 +641,8 @@ def prime_element_above(ell: int, level: int) -> "CyclotomicNumber":
                 continue
             if all(sum(map(operator.mul, coeffs, pw)) % ell for pw in powers):
                 continue
-            x = CyclotomicNumber(level, coeffs)
-            if abs(x.norm_to_rational()) == ell:
-                return x
+            if abs(_adjugate(level, coeffs)[1]) == ell:
+                return CyclotomicNumber._raw(level, coeffs)
     raise ArithmeticError(f"no small generator of a prime over {ell} at level {level}")
 
 

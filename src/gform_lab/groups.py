@@ -83,17 +83,14 @@ class FiniteAbelianGroup(Record):
     def character(self, exponents) -> "Character":
         return Character(self, tuple(exponents))
 
-    def elements(self, bound: int = DEFAULT_ENUMERATION_BOUND) -> list["GroupElement"]:
-        """A fresh list of the elements in `group_tables` order, identity first."""
-        if self.order > min(bound, DEFAULT_ENUMERATION_BOUND):
-            return enumerate_elements(self, bound)
+    def elements(self) -> list["GroupElement"]:
+        """A fresh list of the elements in `group_tables` order, identity
+        first; above DEFAULT_ENUMERATION_BOUND elements `enumerate_elements`
+        raises before any table is built."""
         return list(group_tables(self).elements)
 
-    def characters(self, bound: int = DEFAULT_ENUMERATION_BOUND) -> list["Character"]:
-        if self.order > bound:
-            raise EnumerationBoundError(f"|G| = {self.order} exceeds bound {bound}")
-        ranges = [range(d) for d in self.invariant_factors]
-        return [Character(self, exps) for exps in itertools.product(*ranges)]
+    def characters(self) -> list["Character"]:
+        return [Character(self, exps) for exps in _exponent_vectors(self)]
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -184,14 +181,18 @@ def _same_group(a, b) -> None:
         raise GroupSpecError(f"group mismatch: {a.group} vs {b.group}")
 
 
-def enumerate_elements(
-    group: FiniteAbelianGroup, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> list[GroupElement]:
+def _exponent_vectors(group: FiniteAbelianGroup):
+    """The exponent vectors of the group in lexicographic order, zero first;
+    an EnumerationBoundError at once above DEFAULT_ENUMERATION_BOUND."""
+    if group.order > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"|G| = {group.order} exceeds bound {DEFAULT_ENUMERATION_BOUND}")
+    return itertools.product(*(range(d) for d in group.invariant_factors))
+
+
+def enumerate_elements(group: FiniteAbelianGroup) -> list[GroupElement]:
     """All elements in lexicographic exponent order; the identity comes first."""
-    if group.order > bound:
-        raise EnumerationBoundError(f"|G| = {group.order} exceeds bound {bound}")
-    ranges = [range(d) for d in group.invariant_factors]
-    return [GroupElement(group, exps) for exps in itertools.product(*ranges)]
+    return [GroupElement(group, exps) for exps in _exponent_vectors(group)]
 
 
 def character_value_exponent(chi: Character, s: GroupElement) -> int:

@@ -12,12 +12,12 @@ disc = f^(p-1) rather than assumed.
 
 Ideals are stored as row-HNF integer matrices over the period basis with a
 single positive denominator, so equality of ideals is equality of canonical
-forms. The prime over ell, an ideal inverse and a trace dual are preimage
-lattices (`linalg.preimage_lattice`) of integer rows over a denominator
-known in advance: the prime is {v : Frob(v) = 0 mod ell}, the preimage of
-[ell*I ; Frob] over ell; an inverse takes the transposed multiplication
-matrices, and a trace dual the ideal rows times the trace Gram, over the
-ideal's denominator.
+forms. An ideal inverse and a trace dual are preimage lattices
+(`linalg.preimage_lattice`) of integer rows over a denominator known in
+advance: an inverse takes the transposed multiplication matrices, and a
+trace dual the ideal rows times the trace Gram, over the ideal's
+denominator. The primes over the ramified ell need no lattice computation
+at all (`_sum_kernel`).
 
 `build_field` interns its fields: one verified `PeriodField` per (degree,
 conductor, generator, character) in a process, so a field requested again,
@@ -31,18 +31,19 @@ Each field keeps one memo of its ideal layer, filled on first use and shared
 by every caller of the interned field: the prime P over each ramified ell,
 the pair (different, A), and the A-form of each identification
 (`gforms.gform_from_A`). Every ramified prime is tame and totally ramified,
-so Hilbert's formula is closed: P^p = ell*O, the different is prod P^(p-1),
-and A = prod P^(-(p-1)/2) = (1/f) prod P^((p+1)/2) needs no ideal inversion.
-The checks run once per field, when the memo is filled: each P has norm ell
-and P^p = ell*O; the different times the trace dual of O is O; and A*A is
-that trace dual. A failed check raises and leaves nothing in the memo.
+so each P is the kernel of the coordinate sum mod ell, and their product
+R = rad(fO) the kernel mod f. Hilbert's formula is then closed: R^p = f*O,
+the different is R^(p-1), and A = R^(-(p-1)/2) = (1/f) R^((p+1)/2) needs
+no ideal inversion. The checks run once per field, when the memo is filled:
+each P has norm ell and P^p = ell*O; R^p = f*O; the different times the
+trace dual of O is O; and A*A is that trace dual. A failed check raises and
+leaves nothing in the memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -311,8 +312,9 @@ class FractionalIdeal:
 
     @classmethod
     def _canonical(cls, field: PeriodField, rows, den: int) -> "FractionalIdeal":
-        """The ideal of a `linalg.preimage_lattice` result, whose rows are
-        already a full-rank HNF with gcd(den, *rows) = 1, taken as it is."""
+        """The ideal of rows that are already a canonical full-rank HNF with
+        gcd(den, *rows) = 1, such as a `linalg.preimage_lattice` result,
+        taken as it is."""
         out = cls.__new__(cls)
         out.field = field
         out.num = tuple(tuple(r) for r in rows)
@@ -325,8 +327,9 @@ class FractionalIdeal:
         return [self.field.element(row, self.den) for row in self.num]
 
     def norm(self) -> Fraction:
-        d = linalg.det([list(r) for r in self.num])
-        return abs(Fraction(int(d), self.den**self.field.degree))
+        # the canonical HNF is upper triangular with a positive diagonal
+        d = prod(row[i] for i, row in enumerate(self.num))
+        return Fraction(d, self.den**self.field.degree)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -394,76 +397,66 @@ def dual_lattice(lattice: FractionalIdeal) -> FractionalIdeal:
     return FractionalIdeal._canonical(K, rows, den)
 
 
+def _sum_kernel(field: PeriodField, n: int) -> FractionalIdeal:
+    """{sum a_t eta_t : sum a_t = 0 mod n}, for n dividing the conductor f.
+
+    Every ramified ell is tame and totally ramified, so Gal(K/Q) is the
+    inertia group of the prime P over ell and acts trivially on O/P = F_ell
+    (Serre, Local Fields, ch. IV). The periods are conjugate, hence all
+    congruent to one c mod P, and they sum to mu(f) = +/-1, so c is a unit
+    and sum a_t eta_t = c * sum a_t mod P: P is the kernel mod ell, of index
+    ell. The product of the primes over the ell | n is the kernel mod n.
+    Its canonical HNF is written down directly: rows e_t + (n-1) e_(p-1) for
+    t < p-1, then n e_(p-1). Callers verify what they take from it."""
+    p = field.degree
+    rows = [[int(j == t) for j in range(p - 1)] + [n - 1] for t in range(p - 1)]
+    rows.append([0] * (p - 1) + [n])
+    return FractionalIdeal._canonical(field, rows, 1)
+
+
 def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
-    """The unique (totally ramified) prime over a ramified prime ell, found as
-    the Frobenius kernel of the period order mod ell, a preimage lattice over
-    ell; its norm and total ramification are verified by exact ideal
-    arithmetic. Computed once per field: later calls return the same ideal."""
+    """The unique (totally ramified) prime over a ramified prime ell, the
+    kernel of the period-coordinate sum mod ell (`_sum_kernel`); its norm and
+    total ramification are verified by exact ideal arithmetic. Computed once
+    per field: later calls return the same ideal."""
     if ell not in field.ramified_primes:
         raise ValueError(f"{ell} is not ramified in this field")
     memo = field._ideal_memo
     if ell in memo:
         return memo[ell]
     p = field.degree
-
-    def mul_mod(v, w):
-        out = [0] * p
-        for t, a in enumerate(v):
-            if a:
-                for u, b in enumerate(w):
-                    if b:
-                        row = field.mult_table[t][u]
-                        for k in range(p):
-                            out[k] = (out[k] + a * b * row[k]) % ell
-        return out
-
-    frob_cols = []
-    for t in range(p):
-        base = [0] * p
-        base[t] = 1
-        acc = None
-        power = base
-        e = ell
-        while e:
-            if e & 1:
-                acc = power if acc is None else mul_mod(acc, power)
-            e >>= 1
-            if e:
-                power = mul_mod(power, power)
-        frob_cols.append(acc)
-    # {v : Frob @ v = 0 mod ell} is the preimage lattice of [ell*I ; Frob]
-    # over ell: the identity block keeps v integral
-    ell_rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
-    rows, den = linalg.preimage_lattice(ell_rows + linalg.transpose(frob_cols), ell)
-    ideal = FractionalIdeal._canonical(field, rows, den)
+    ideal = _sum_kernel(field, ell)
     if ideal.norm() != ell:
         raise ArithmeticError(f"prime over {ell} has norm {ideal.norm()}, expected {ell}")
-    ell_ideal = FractionalIdeal(field, ell_rows, 1)
-    if ideal**p != ell_ideal:
-        raise ArithmeticError(f"{ell} is not totally ramified; wrong Frobenius kernel")
+    ell_rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
+    if ideal**p != FractionalIdeal(field, ell_rows, 1):
+        raise ArithmeticError(f"{ell} is not totally ramified; wrong prime over it")
     memo[ell] = ideal
     return ideal
 
 
 def _hilbert_ideals(field: PeriodField) -> tuple[FractionalIdeal, FractionalIdeal]:
-    """(different, A) of the field, built from the ramified primes and
-    verified against the trace dual of the maximal order once per field.
+    """(different, A) of the field, built from R = rad(fO), the product of
+    the ramified primes, and verified once per field.
 
-    Every ramified prime P over ell is tame and totally ramified, so P^p is
-    ell*O and Hilbert's formula gives d = prod P^(p-1). Its square root of the
-    inverse, with exponents -(p-1)/2, is prod P^(-(p-1)/2) = (1/f) prod
-    P^((p+1)/2) in closed form. Both are checked against dual(O) = d^-1:
+    Every ramified prime is tame and totally ramified, so R^p is f*O and
+    Hilbert's formula gives d = R^(p-1). Its square root of the inverse, with
+    exponents -(p-1)/2, is R^(-(p-1)/2) = (1/f) R^((p+1)/2) in closed form.
+    R^p = f*O is checked, and both ideals against dual(O) = d^-1:
     d * dual(O) == O and A * A == dual(O). A failed check raises and leaves
     nothing in the memo."""
     memo = field._ideal_memo
     if "hilbert" not in memo:
         p, f = field.degree, field.conductor
         O = field.maximal_order()
-        primes = [prime_above(field, ell) for ell in field.ramified_primes]
-        # P^(p-1) = P^((p+1)/2) * P^((p-3)/2), and the second factor is O at
-        # p = 3, so each prime is raised to (p+1)/2 once and d reuses it
-        upper = reduce(mul, [P ** ((p + 1) // 2) for P in primes])
-        d = reduce(mul, [P ** ((p - 3) // 2) for P in primes if p > 3], upper)
+        R = _sum_kernel(field, f)
+        # R^(p-1) = R^((p+1)/2) * R^((p-3)/2), and the second factor is O at
+        # p = 3, so R is raised to (p+1)/2 once and d reuses it
+        upper = R ** ((p + 1) // 2)
+        d = upper * R ** ((p - 3) // 2) if p > 3 else upper
+        f_rows = [[f * int(i == j) for j in range(p)] for i in range(p)]
+        if d * R != FractionalIdeal(field, f_rows, 1):
+            raise ArithmeticError(f"rad({f}O)^{p} is not {f}O")
         A = FractionalIdeal(field, upper.num, f * upper.den)
         inverse_different = dual_lattice(O)
         if d * inverse_different != O:

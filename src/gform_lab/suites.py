@@ -31,13 +31,12 @@ WITNESS_CONDUCTORS_DEG3 = (7, 13, 19, 31, 37, 43)
 
 
 class SuiteConfig(Record):
-    __slots__ = ("seed", "conductor_bound", "groups", "include_timings", "out_dir")
+    __slots__ = ("seed", "conductor_bound", "groups", "include_timings")
 
     def __init__(self, seed: int = 1, conductor_bound: int = 100,
                  groups: tuple[tuple[int, ...], ...] = tuple(ACCEPTANCE_GROUPS),
-                 include_timings: bool = False, out_dir: str | None = None):
-        for field, value in zip(self.__slots__, (seed, conductor_bound, groups, include_timings,
-                                                 out_dir)):
+                 include_timings: bool = False):
+        for field, value in zip(self.__slots__, (seed, conductor_bound, groups, include_timings)):
             object.__setattr__(self, field, value)
 
     def rng(self, check_id: str) -> random.Random:

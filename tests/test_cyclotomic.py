@@ -368,8 +368,8 @@ def test_single_term_inverse_takes_no_conjugates(n, c, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 7, 9, 21, 91])
 def test_adjugate_is_the_conjugate_product_over_the_norm(n, monkeypatch):
-    # N = conj * num is the norm of num, i.e. den^phi times the norm of
-    # num / den, and conj / N is the inverse of num
+    # N = conj * num is the norm of num, Res(Phi_n, num) by sympy, and
+    # conj / N is the inverse of num
     rng = random.Random(n)
     phi = euler_phi(n)
     shapes = ["dense", "sparse", "single"]
@@ -388,11 +388,12 @@ def test_adjugate_is_the_conjugate_product_over_the_norm(n, monkeypatch):
                 break
         conj, norm = _adjugate(n, x.num)
         assert isinstance(norm, int) and len(conj) == phi
-        assert norm == x.norm_to_rational() * x.den ** phi
+        assert norm == sympy.resultant(phi_poly(n), to_sympy(CyclotomicNumber._raw(n, x.num)))
         assert CyclotomicNumber._raw(n, conj) * CyclotomicNumber._raw(n, x.num) == norm
         assert x.inverse() == CyclotomicNumber._raw(n, conj) * Fraction(x.den, norm)
     with pytest.raises(ArithmeticError, match="nonzero rational"):
         _adjugate(n, (0,) * phi)
+    assert CyclotomicNumber._raw(n, (0,) * phi).norm_to_rational() == 0
     # with every conjugate replaced by the value itself the product is
     # x^phi, not rational, and the check must see it
     import gform_lab.cyclotomic as cyclotomic

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gform_lab.arith import euler_phi, moebius
+import gform_lab.number_fields as nf
+from gform_lab import linalg
+from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
@@ -164,8 +166,6 @@ def test_sqrt_inverse_different_conductor7(k7):
     assert dual_lattice(A) == A
     # Gram determinant of an A-basis is 1 (unimodular)
     M = trace_gram(k7, A.basis_elements())
-    from gform_lab import linalg
-
     assert linalg.det(M) == 1
 
 
@@ -202,8 +202,6 @@ def test_composite_field(k7, k13, k91):
     A = sqrt_inverse_different(k91)
     assert A == (L7 * L13).inverse()
     assert dual_lattice(A) == A
-    from gform_lab import linalg
-
     assert linalg.det(trace_gram(k91, A.basis_elements())) == 1
 
 
@@ -226,12 +224,32 @@ def test_hom_to_g(k7):
     assert h.product_weights(hinv) == (1, 2)
 
 
-@pytest.mark.parametrize("f", [7, 13])
-def test_prime_above_is_the_frobenius_kernel_mod_ell(f):
+def _moved_generator(p, f):
+    # the field of the default character, presented by its largest
+    # generator instead of the least one
+    character = build_field(p, f).character
+    return build_field(p, f, generator=max(x for x, v in character.items() if v == 1))
+
+
+FROBENIUS_CASES = {
+    "7": (lambda: build_field(3, 7), 7),
+    "13": (lambda: build_field(3, 13), 13),
+    "91-7": (lambda: build_field(3, 91), 7),
+    "91-13": (lambda: build_field(3, 91), 13),
+    "composite-7": (lambda: compose_fields(build_field(3, 7), build_field(3, 13), (1, 2)), 7),
+    "composite-13": (lambda: compose_fields(build_field(3, 7), build_field(3, 13), (1, 2)), 13),
+    "moved-generator-13": (lambda: _moved_generator(3, 13), 13),
+    "moved-generator-91-7": (lambda: _moved_generator(3, 91), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROBENIUS_CASES))
+def test_prime_above_is_the_frobenius_kernel_mod_ell(case):
     # brute force: the prime over ell is {v : Frob(v) = 0 mod ell} + ell Z^p,
     # where Frob(v) = sum v_t eta_t^ell is linear mod ell
-    K = build_field(3, f)
-    ell, p = f, K.degree
+    make_field, ell = FROBENIUS_CASES[case]
+    K = make_field()
+    p = K.degree
     frob = [[int(c) % ell for c in K.coordinates(eta**ell)] for eta in K.periods]
     kernel = [
         list(v)
@@ -243,14 +261,76 @@ def test_prime_above_is_the_frobenius_kernel_mod_ell(f):
     assert prime_above(K, ell) == FractionalIdeal(K, kernel + ell_rows, 1)
 
 
+def _admissible_fields(degrees=(3, 5, 7), max_conductor=200):
+    for p in degrees:
+        for f in range(3, max_conductor + 1):
+            if f % p and is_squarefree(f) and all((ell - 1) % p == 0 for ell, _ in factorize(f)):
+                yield p, f
+
+
+def test_every_prime_above_lies_in_the_frobenius_kernel():
+    # all 41 ramified primes of the 39 fields of degree 3, 5, 7 with f <= 200:
+    # every row v of P maps to 0 under Frob(v) = sum v_t coords(eta_t^ell)
+    # mod ell. The kernel is an ideal containing ell*O, and Frob(1) = 1, so it
+    # is a proper ideal containing P; P has index ell, a prime, so they are
+    # equal. The norm read off the HNF diagonal is checked against det too.
+    fields = list(_admissible_fields())
+    assert len(fields) == 39
+    primes = 0
+    for p, f in fields:
+        K = build_field(p, f)
+        for ell in K.ramified_primes:
+            frob = [[int(c) % ell for c in K.coordinates(eta**ell)] for eta in K.periods]
+            one = [moebius(f)] * p  # 1 = mu(f) * sum of the periods
+            assert [sum(v * row[k] for v, row in zip(one, frob)) % ell for k in range(p)] \
+                == [c % ell for c in one]
+            P = prime_above(K, ell)
+            for row in P.num:
+                assert all(sum(v * fr[k] for v, fr in zip(row, frob)) % ell == 0
+                           for k in range(p))
+            assert P.norm() == ell
+            primes += 1
+        A = sqrt_inverse_different(K)
+        assert A.norm() == abs(Fraction(linalg.det([list(r) for r in A.num]), A.den**p))
+    assert primes == 41
+
+
+@pytest.mark.parametrize("ell", [13, 19, 29])
+def test_sum_kernel_over_an_unramified_prime_is_not_totally_ramified(ell, k7):
+    # the coordinate-sum kernel has index ell for any ell, but only a
+    # ramified ell makes it a prime with P^p = ell*O
+    P = nf._sum_kernel(k7, ell)
+    assert P.norm() == ell
+    ell_O = FractionalIdeal(k7, [[ell * int(i == j) for j in range(3)] for i in range(3)], 1)
+    assert P**3 != ell_O
+    # prime_above itself refuses it when told ell ramifies, and keeps nothing
+    K = nf.PeriodField(3, 7, k7.character, k7.generator)
+    K.ramified_primes = (7, ell)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="not totally ramified"):
+            prime_above(K, ell)
+    assert ell not in K._ideal_memo
+
+
+def test_a_wrong_radical_is_refused_and_stores_nothing(monkeypatch, k13):
+    K = nf.PeriodField(3, 13, k13.character, k13.generator)
+    original = nf._sum_kernel
+    # the kernel mod 1 is O itself, not rad(13 O)
+    monkeypatch.setattr(nf, "_sum_kernel", lambda field, n: original(field, 1))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"rad\(13O\)\^3 is not 13O"):
+            sqrt_inverse_different(K)
+        assert "hilbert" not in K._ideal_memo
+    monkeypatch.undo()
+    assert sqrt_inverse_different(K) == sqrt_inverse_different(k13)
+
+
 def test_degree_seven_square_root_of_the_inverse_different():
     # degree 7 meets the largest preimage lattices of the ideal arithmetic
     K = build_field(7, 29)
     A = sqrt_inverse_different(K)  # verifies A * A == different(K).inverse()
     assert A.den == 29
     assert dual_lattice(A) == A
-    from gform_lab import linalg
-
     assert linalg.det(trace_gram(K, A.basis_elements())) == 1
 
 
@@ -309,37 +389,33 @@ def test_closed_form_ideals_match_the_inverse_route(p, f):
 
 
 def test_ideal_layer_is_built_once_per_field(monkeypatch):
-    import gform_lab.number_fields as nf
-    from gform_lab import linalg
-
     # an empty field store for this test, as in a fresh process
     monkeypatch.setattr(nf, "_FIELDS", {})
     kernels = []
-    original = linalg.preimage_lattice
+    original = nf._sum_kernel
 
-    def spy(rows, den):
-        if den in (7, 13):  # a Frobenius kernel over a ramified prime
-            kernels.append(rows)
-        return original(rows, den)
+    def spy(field, n):
+        kernels.append(n)
+        return original(field, n)
 
-    monkeypatch.setattr(linalg, "preimage_lattice", spy)
+    monkeypatch.setattr(nf, "_sum_kernel", spy)
     K = build_field(3, 91)
     A = sqrt_inverse_different(K)
     d = different(K)
     assert sqrt_inverse_different(K) is A
     assert different(K) is d
+    assert kernels == [91]  # one radical for the different and A
     assert prime_above(K, 7) is prime_above(K, 7)
     assert prime_above(K, 13) is prime_above(K, 13)
-    assert len(kernels) == 2  # one Frobenius kernel per ramified prime
+    assert sorted(kernels) == [7, 13, 91]  # and one kernel per ramified prime
     # the same request returns the same field, whose memo is already filled
     assert build_field(3, 91) is K
     assert sqrt_inverse_different(build_field(3, 91)) is A
-    assert len(kernels) == 2
+    assert prime_above(build_field(3, 91), 7) is prime_above(K, 7)
+    assert sorted(kernels) == [7, 13, 91]
 
 
 def test_failed_ideal_checks_store_nothing(monkeypatch):
-    import gform_lab.number_fields as nf
-
     # built directly, not interned: an interned K13 may already hold a memo
     K13 = build_field(3, 13)
     K = nf.PeriodField(3, 13, K13.character, K13.generator)
@@ -411,8 +487,6 @@ def test_preimage_ideals_equal_the_validating_constructor(p, f):
 
 
 def test_default_character_is_resolved_once_per_conductor(monkeypatch):
-    import gform_lab.number_fields as nf
-
     K = build_field(3, 91)
     calls = []
     for name in ("discrete_log_table", "units_mod"):

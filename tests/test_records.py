@@ -160,8 +160,8 @@ def test_suite_records_match_their_dataclasses():
     none = dataclasses.MISSING
     cases = [
         (SuiteConfig, True, [("seed", 1), ("conductor_bound", 100),
-                             ("groups", tuple(ACCEPTANCE_GROUPS)), ("include_timings", False),
-                             ("out_dir", None)], [5, 50, ((3,),), True, "out"]),
+                             ("groups", tuple(ACCEPTANCE_GROUPS)), ("include_timings", False)],
+         [5, 50, ((3,),), True]),
         (CheckResult, False, [("check_id", none), ("name", none), ("status", none),
                               ("details", none), ("elapsed", 0.0)], ["C1", "n", "pass", {}, 0.5]),
     ]
