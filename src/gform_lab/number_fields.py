@@ -4,40 +4,54 @@ inverse.
 
 A field is cut out by a surjective character chi: (Z/f)^x -> Z/p (f
 squarefree, every prime factor = 1 mod p, p odd and prime to f, so every
-ramified prime is tame and totally ramified). The periods are the orbit sums
-of zeta_f under ker(chi), translated along powers of a generator g with
-chi(g) = 1; for squarefree conductors they are a Z-basis of the maximal
-order, which is certified here by the exact discriminant identity
-disc = f^(p-1) rather than assumed.
+ramified prime is tame and totally ramified). The periods eta_j = eta(c_j)
+are the orbit sums eta(x) = sum over h in H of zeta_f^(x h), for
+H = ker(chi) and c_j = g^j with chi(g) = 1. Their integer multiplication
+table comes from Gauss's coset counting, with no product in Q(zeta_f):
+eta_i * eta_j = sum over h in H of eta(c_i + c_j h). A unit x lies in the
+coset of c_(chi(x)), so eta(x) = eta_(chi(x)); for gcd(x, f) = d > 1, eta(x)
+is the integer (phi(d)/p) * mu(f/d) (`_nonunit_period`), whose coordinates
+are that integer times mu(f) on every period, since the periods sum to
+mu(f). The trace Gram is mu(f) times the row sums of the table. Three exact
+certificates hold the table: each row sums to mu(f) * eta_i, sigma shifts it
+(T[i+1][j+1] is T[i][j] shifted), and the discriminant identity
+disc = f^(p-1), which also certifies that the periods are a Z-basis of the
+maximal order. The periods in Q(zeta_f), the embedding and `coordinates`
+serve the resolvend layer and the independent `trace_gram` route.
 
 Ideals are stored as row-HNF integer matrices over the period basis with a
 single positive denominator, so equality of ideals is equality of canonical
-forms. An ideal inverse and a trace dual are preimage lattices
-(`linalg.preimage_lattice`) of integer rows over a denominator known in
-advance: an inverse takes the transposed multiplication matrices, and a
-trace dual the ideal rows times the trace Gram, over the ideal's
-denominator. The primes over the ramified ell need no lattice computation
-at all (`_sum_kernel`).
+forms. Every product is one kernel (`_span_products`): the lattice spanned
+by g * b for g in a generating set and b in a basis. An ideal inverse and a
+trace dual are preimage lattices (`linalg.preimage_lattice`) of integer rows
+over a denominator known in advance: an inverse takes the transposed
+multiplication matrices, and a trace dual the ideal rows times the trace
+Gram, over the ideal's denominator. Ideals whose canonical form is known,
+O, n*O and the coordinate-sum kernels (`_sum_kernel`), are written down
+without an HNF.
 
 `build_field` interns its fields: one verified `PeriodField` per (degree,
 conductor, generator, character) in a process, so a field requested again,
 directly or as the composite of `compose_fields`, is the same object, and
-its tables and discriminant certificate are built once. The default
-character of each (degree, conductor) and its default generator are
-resolved once too. Like `group_tables`, both stores are unbounded. The level
-cap is checked on every request, before the lookup.
+its tables and certificates are built once. The default character of each
+(degree, conductor) and its default generator are resolved once too. Like
+`group_tables`, both stores are unbounded. The level cap is checked on
+every request, before the lookup.
 
 Each field keeps one memo of its ideal layer, filled on first use and shared
 by every caller of the interned field: the prime P over each ramified ell,
 the pair (different, A), and the A-form of each identification
 (`gforms.gform_from_A`). Every ramified prime is tame and totally ramified,
 so each P is the kernel of the coordinate sum mod ell, and their product
-R = rad(fO) the kernel mod f. Hilbert's formula is then closed: R^p = f*O,
-the different is R^(p-1), and A = R^(-(p-1)/2) = (1/f) R^((p+1)/2) needs
-no ideal inversion. The checks run once per field, when the memo is filled:
-each P has norm ell and P^p = ell*O; R^p = f*O; the different times the
-trace dual of O is O; and A*A is that trace dual. A failed check raises and
-leaves nothing in the memo.
+R = rad(fO) the kernel mod f. alpha = eta_0 - eta_1 has valuation 1 at every
+P (`_hilbert_ideals`), so P = (ell, alpha) and R^k = (f, alpha^k) for
+1 <= k <= p. Hilbert's formula is then closed: the different is
+(f, alpha^(p-1)), and A = R^(-(p-1)/2) = (1/f) (f, alpha^((p+1)/2)) needs no
+ideal inversion; each product with such a factor puts 2p rows through an
+HNF, not p^2. The checks run once per field, when the memo is filled: each P
+has norm ell, P^p = ell*O and P = (ell, alpha); (f, alpha) = R; R^p = f*O;
+the different times the trace dual of O is O; and A*A is that trace dual. A
+failed check raises and leaves nothing in the memo.
 """
 
 from __future__ import annotations
@@ -50,6 +64,7 @@ from types import MappingProxyType
 from . import linalg
 from .arith import (
     discrete_log_table,
+    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -67,10 +82,22 @@ class FieldConstructionError(ValueError):
     """Invalid (p, f, character) data for a period field."""
 
 
+def _nonunit_period(p: int, f: int, d: int) -> int:
+    """eta(x) = sum over h in H of zeta_f^(x h) for gcd(x, f) = d > 1: the
+    integer (phi(d)/p) * mu(f/d). zeta_f^x is a primitive (f/d)-th root of
+    unity, and H maps onto (Z/(f/d))^x with fibres of phi(d)/p elements,
+    because chi is nontrivial on the units = 1 mod f/ell for every ell | f;
+    the primitive (f/d)-th roots of unity sum to mu(f/d)."""
+    return euler_phi(d) // p * moebius(f // d)
+
+
 class PeriodField:
     """Cyclic degree-p subfield of Q(zeta_f) with its period basis, exact
-    integer multiplication table, and trace Gram matrix. `build_field` shares
-    one instance between callers, so the character is a read-only mapping."""
+    integer multiplication table, and trace Gram matrix. The table is counted
+    over cosets (eta_i * eta_j = sum over h in H of eta(c_i + c_j h), the
+    module docstring gives the rule) and certified by its row sums, its sigma
+    shift and the discriminant identity. `build_field` shares one instance
+    between callers, so the character is a read-only mapping."""
 
     def __init__(self, degree: int, conductor: int, character: dict[int, int], generator: int):
         self.degree = degree
@@ -121,32 +148,36 @@ class PeriodField:
     def _init_tables(self):
         p, f = self.degree, self.conductor
         mu = moebius(f)
-        # the trace of every period is mu(f); each product feeds both the
-        # multiplication table and the trace Gram, and is formed once
+        # every period has trace mu(f), and 1 = mu(f) * (eta_0 + ... + eta_(p-1))
         self.trace_of_period = mu
+        chi = self.character
+        nonunit = {d: _nonunit_period(p, f, d) for d in divisors(f)[1:]}
         table = [[None] * p for _ in range(p)]
-        gram = [[None] * p for _ in range(p)]
         for i in range(p):
+            ci = self.cosets[i]
             for j in range(i, p):
-                prod = self.periods[i] * self.periods[j]
-                coords = self.coordinates(prod)
-                if any(c.denominator != 1 for c in coords):
-                    raise FieldConstructionError(
-                        "period products leave the period lattice; order not maximal"
-                    )
-                t = self.trace(prod)
-                if t.denominator != 1:
-                    raise FieldConstructionError("trace Gram is not integral")
-                table[i][j] = table[j][i] = tuple(int(c) for c in coords)
-                gram[i][j] = gram[j][i] = int(t)
-        self.mult_table = tuple(tuple(row) for row in table)
-        self.gram = tuple(tuple(row) for row in gram)
-        # cross-check the Gram against the integer route through the tables
+                cj = self.cosets[j]
+                # eta_i * eta_j = sum over h in H of eta(c_i + c_j h)
+                entry = [0] * p
+                c = 0
+                for h in self.subgroup:
+                    x = (ci + cj * h) % f
+                    k = chi.get(x)
+                    if k is None:
+                        c += nonunit[gcd(x, f)]
+                    else:
+                        entry[k] += 1
+                table[i][j] = table[j][i] = tuple(e + mu * c for e in entry)
         for i in range(p):
+            # eta_i * (eta_0 + ... + eta_(p-1)) = mu(f) * eta_i
+            if [sum(col) for col in zip(*table[i])] != [mu * (k == i) for k in range(p)]:
+                raise FieldConstructionError(f"row {i} of the table does not sum to mu(f) eta_{i}")
+            # sigma(eta_i * eta_j) = eta_(i+1) * eta_(j+1)
             for j in range(p):
-                alt = mu * sum(self.mult_table[i][j])
-                if alt != self.gram[i][j]:
-                    raise FieldConstructionError("trace tables disagree")
+                if table[(i + 1) % p][(j + 1) % p] != self.sigma_coords(table[i][j]):
+                    raise FieldConstructionError("the table does not commute with sigma")
+        self.mult_table = tuple(tuple(row) for row in table)
+        self.gram = tuple(tuple(mu * sum(entry) for entry in row) for row in table)
         disc = linalg.det([list(r) for r in self.gram])
         if disc != f ** (p - 1):
             raise FieldConstructionError(
@@ -208,7 +239,7 @@ class PeriodField:
         return rows
 
     def maximal_order(self) -> "FractionalIdeal":
-        return FractionalIdeal(self, linalg.identity_matrix(self.degree), 1)
+        return FractionalIdeal._canonical(self, linalg.identity_matrix(self.degree), 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodField):
@@ -313,8 +344,8 @@ class FractionalIdeal:
     @classmethod
     def _canonical(cls, field: PeriodField, rows, den: int) -> "FractionalIdeal":
         """The ideal of rows that are already a canonical full-rank HNF with
-        gcd(den, *rows) = 1, such as a `linalg.preimage_lattice` result,
-        taken as it is."""
+        gcd(den, *rows) = 1, such as a `linalg.preimage_lattice` result or the
+        diagonal of n * O, taken as it is."""
         out = cls.__new__(cls)
         out.field = field
         out.num = tuple(tuple(r) for r in rows)
@@ -357,11 +388,7 @@ class FractionalIdeal:
             return NotImplemented
         if self.field is not other.field:
             raise ValueError("ideals live in different fields")
-        K = self.field
-        rows = []
-        for a in self.num:
-            rows.extend(linalg.mat_mul(other.num, K.multiplication_matrix(a)))
-        return FractionalIdeal(K, rows, self.den * other.den)
+        return _span_products(self.field, self.num, self.den, other)
 
     def __pow__(self, e: int) -> "FractionalIdeal":
         e = int(e)
@@ -414,54 +441,115 @@ def _sum_kernel(field: PeriodField, n: int) -> FractionalIdeal:
     return FractionalIdeal._canonical(field, rows, 1)
 
 
+def _scalar_ideal(field: PeriodField, n: int) -> FractionalIdeal:
+    """n * O, whose canonical HNF is n times the identity."""
+    p = field.degree
+    rows = [[n * int(i == j) for j in range(p)] for i in range(p)]
+    return FractionalIdeal._canonical(field, rows, 1)
+
+
+def _span_products(field: PeriodField, gens, den: int, J: FractionalIdeal) -> FractionalIdeal:
+    """The lattice spanned by g * b / den, for g in gens (integer period
+    coordinates) and b in the basis of J: the product I * J / den when gens
+    is a Z-basis of I, and (gens) * J / den when J is an O-module. The one
+    product kernel of the ideal layer: `FractionalIdeal.__mul__` passes its
+    own rows, the tame layer the two generators (n, alpha^k)."""
+    rows = []
+    for g in gens:
+        rows.extend(linalg.mat_mul(J.num, field.multiplication_matrix(g)))
+    return FractionalIdeal(field, rows, den * J.den)
+
+
+def _uniformizer(field: PeriodField) -> tuple[int, ...]:
+    """alpha = eta_0 - eta_1 = (1 - sigma) eta_0, of valuation 1 at the prime
+    over every ramified ell (`_hilbert_ideals` gives the argument)."""
+    return (1, -1) + (0,) * (field.degree - 2)
+
+
+def _uniformizer_powers(field: PeriodField, n: int) -> list[tuple[int, ...]]:
+    """alpha, alpha^2, ..., alpha^n in period coordinates, from the integer
+    table: x * alpha is M^T x for the multiplication matrix M of alpha."""
+    alpha = _uniformizer(field)
+    times_alpha = linalg.transpose(field.multiplication_matrix(alpha))
+    powers = [alpha]
+    while len(powers) < n:
+        powers.append(tuple(linalg.mat_vec(times_alpha, powers[-1])))
+    return powers
+
+
+def _two_element(field: PeriodField, n: int, x) -> tuple[tuple[int, ...], ...]:
+    """The generators (n, x) in period coordinates, with n = n * mu(f) *
+    (eta_0 + ... + eta_(p-1))."""
+    return ((n * field.trace_of_period,) * field.degree, x)
+
+
 def prime_above(field: PeriodField, ell: int) -> FractionalIdeal:
     """The unique (totally ramified) prime over a ramified prime ell, the
-    kernel of the period-coordinate sum mod ell (`_sum_kernel`); its norm and
-    total ramification are verified by exact ideal arithmetic. Computed once
-    per field: later calls return the same ideal."""
+    kernel of the period-coordinate sum mod ell (`_sum_kernel`). Three exact
+    checks certify it: its norm is ell; P^p = ell*O; and it is the ideal
+    (ell, alpha) for alpha = eta_0 - eta_1, which has valuation 1 at P
+    (`_hilbert_ideals`), so the kernel is an O-module. Computed once per
+    field: later calls return the same ideal, and a failed check stores
+    nothing."""
     if ell not in field.ramified_primes:
         raise ValueError(f"{ell} is not ramified in this field")
     memo = field._ideal_memo
     if ell in memo:
         return memo[ell]
-    p = field.degree
     ideal = _sum_kernel(field, ell)
     if ideal.norm() != ell:
         raise ArithmeticError(f"prime over {ell} has norm {ideal.norm()}, expected {ell}")
-    ell_rows = [[ell * int(i == j) for j in range(p)] for i in range(p)]
-    if ideal**p != FractionalIdeal(field, ell_rows, 1):
+    if ideal**field.degree != _scalar_ideal(field, ell):
         raise ArithmeticError(f"{ell} is not totally ramified; wrong prime over it")
+    generators = _two_element(field, ell, _uniformizer(field))
+    if _span_products(field, generators, 1, field.maximal_order()) != ideal:
+        raise ArithmeticError(f"the prime over {ell} is not the ideal ({ell}, eta_0 - eta_1)")
     memo[ell] = ideal
     return ideal
 
 
 def _hilbert_ideals(field: PeriodField) -> tuple[FractionalIdeal, FractionalIdeal]:
-    """(different, A) of the field, built from R = rad(fO), the product of
-    the ramified primes, and verified once per field.
+    """(different, A) of the field as two-element ideals, verified once per
+    field.
 
-    Every ramified prime is tame and totally ramified, so R^p is f*O and
-    Hilbert's formula gives d = R^(p-1). Its square root of the inverse, with
-    exponents -(p-1)/2, is R^(-(p-1)/2) = (1/f) R^((p+1)/2) in closed form.
-    R^p = f*O is checked, and both ideals against dual(O) = d^-1:
-    d * dual(O) == O and A * A == dual(O). A failed check raises and leaves
-    nothing in the memo."""
+    alpha = eta_0 - eta_1 = (1 - sigma) eta_0 has valuation 1 at the prime P
+    over every ramified ell. O/P = F_ell, so eta_0 = a + x with a in Z and
+    x in P. x is not in P^2: otherwise every period, a conjugate of eta_0,
+    would lie in Z + P^2 (P is Galois stable), so would O, and O/P^2 would
+    have ell elements, not ell^2. The ramification is tame, so sigma acts on
+    P/P^2 by a character theta of the inertia group Gal(K/Q) into F_ell^x,
+    and theta is faithful, so theta(sigma) != 1 (Serre, Local Fields, IV
+    sec. 2). Hence alpha = x - sigma(x) = (1 - theta(sigma)) x mod P^2 lies in
+    P and not in P^2.
+
+    With R = rad(fO), f*O = R^p, so R^k is the greatest common divisor
+    f*O + alpha^k*O of f and alpha^k for 1 <= k <= p. Hilbert's formula then
+    gives the different d = R^(p-1) = (f, alpha^(p-1)), and its square root
+    of the inverse, with exponents -(p-1)/2, is
+    A = R^(-(p-1)/2) = (1/f) (f, alpha^((p+1)/2)). alpha^k comes from the
+    integer table, and every product below has a two-generated factor, so it
+    puts 2p rows through an HNF. Four exact checks: (f, alpha) is the
+    coordinate-sum kernel mod f (`_sum_kernel`), which makes that kernel an
+    O-ideal; d * R == f*O; d * dual(O) == O; and A * A == dual(O). A failed
+    check raises and leaves nothing in the memo."""
     memo = field._ideal_memo
     if "hilbert" not in memo:
         p, f = field.degree, field.conductor
         O = field.maximal_order()
+        powers = _uniformizer_powers(field, p - 1)
         R = _sum_kernel(field, f)
-        # R^(p-1) = R^((p+1)/2) * R^((p-3)/2), and the second factor is O at
-        # p = 3, so R is raised to (p+1)/2 once and d reuses it
-        upper = R ** ((p + 1) // 2)
-        d = upper * R ** ((p - 3) // 2) if p > 3 else upper
-        f_rows = [[f * int(i == j) for j in range(p)] for i in range(p)]
-        if d * R != FractionalIdeal(field, f_rows, 1):
+        if _span_products(field, _two_element(field, f, powers[0]), 1, O) != R:
+            raise ArithmeticError(f"rad({f}O) is not the ideal ({f}, eta_0 - eta_1)")
+        lower = _two_element(field, f, powers[p - 2])
+        if _span_products(field, lower, 1, R) != _scalar_ideal(field, f):
             raise ArithmeticError(f"rad({f}O)^{p} is not {f}O")
-        A = FractionalIdeal(field, upper.num, f * upper.den)
+        d = _span_products(field, lower, 1, O)
+        upper = _two_element(field, f, powers[(p - 1) // 2])
+        A = _span_products(field, upper, f, O)
         inverse_different = dual_lattice(O)
-        if d * inverse_different != O:
+        if _span_products(field, lower, 1, inverse_different) != O:
             raise ArithmeticError("Hilbert-formula different disagrees with the trace dual")
-        if A * A != inverse_different:
+        if _span_products(field, upper, f, A) != inverse_different:
             raise ArithmeticError("square of the candidate is not the inverse different")
         memo["hilbert"] = (d, A)
     return memo["hilbert"]

@@ -6,7 +6,7 @@ import pytest
 
 import gform_lab.number_fields as nf
 from gform_lab import linalg
-from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius
+from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius, units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
@@ -318,7 +318,7 @@ def test_a_wrong_radical_is_refused_and_stores_nothing(monkeypatch, k13):
     # the kernel mod 1 is O itself, not rad(13 O)
     monkeypatch.setattr(nf, "_sum_kernel", lambda field, n: original(field, 1))
     for _ in range(2):
-        with pytest.raises(ArithmeticError, match=r"rad\(13O\)\^3 is not 13O"):
+        with pytest.raises(ArithmeticError, match=r"rad\(13O\) is not the ideal \(13, eta_0 - eta_1\)"):
             sqrt_inverse_different(K)
         assert "hilbert" not in K._ideal_memo
     monkeypatch.undo()
@@ -474,7 +474,7 @@ def test_equal_requests_share_one_field(k7, k13, k91):
 
 
 @pytest.mark.parametrize("p, f", [(3, 7), (3, 91), (5, 11)])
-def test_preimage_ideals_equal_the_validating_constructor(p, f):
+def test_preimage_ideals_equal_the_validating_constructor(p, f, monkeypatch):
     # the prime over ell, an inverse and a trace dual are taken from
     # preimage_lattice as they are; re-running the HNF and the gcd
     # normalization of FractionalIdeal.__init__ must change nothing
@@ -482,6 +482,12 @@ def test_preimage_ideals_equal_the_validating_constructor(p, f):
     primes = [prime_above(K, ell) for ell in K.ramified_primes]
     ideals = primes + [P.inverse() for P in primes]
     ideals += [dual_lattice(K.maximal_order()), dual_lattice(sqrt_inverse_different(K))]
+    # O and f*O are written down as their canonical HNF, with no HNF run
+    hnf_calls = []
+    monkeypatch.setattr(linalg, "hnf", lambda rows: hnf_calls.append(rows))
+    ideals += [K.maximal_order(), nf._scalar_ideal(K, f)]
+    assert hnf_calls == []
+    monkeypatch.undo()
     for ideal in ideals:
         assert FractionalIdeal(K, ideal.num, ideal.den) == ideal
 
@@ -498,4 +504,183 @@ def test_default_character_is_resolved_once_per_conductor(monkeypatch):
     for _ in range(3):
         assert build_field(3, 91) is K
         assert build_field(3, 91, generator=K.generator) is K
+    assert calls == []
+
+
+# -- the closed forms: coset-counted tables and two-element ideals ----------
+
+# all admissible fields of degree 3 to 13 with f <= 200, and with f <= 400
+CLOSED_FORM_DEGREES = (3, 5, 7, 11, 13)
+
+
+def _product_table(K):
+    """The multiplication table from products in Q(zeta_f): the period
+    coordinates of eta_i * eta_j, required integral."""
+    p = K.degree
+    table = [[None] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            coords = K.coordinates(K.periods[i] * K.periods[j])
+            assert all(c.denominator == 1 for c in coords)
+            table[i][j] = table[j][i] = tuple(int(c) for c in coords)
+    return tuple(tuple(row) for row in table)
+
+
+def _check_tables_against_cyclotomic_products(fields):
+    for p, f in fields:
+        K = build_field(p, f)
+        assert K.mult_table == _product_table(K)
+        # the Gram against the cyclotomic trace of each product
+        assert K.gram == tuple(tuple(K.trace(a * b) for b in K.periods) for a in K.periods)
+
+
+def test_coset_table_matches_the_cyclotomic_products():
+    fields = list(_admissible_fields(CLOSED_FORM_DEGREES, 200))
+    assert len(fields) == 47
+    _check_tables_against_cyclotomic_products(fields)
+
+
+@pytest.mark.slow
+def test_coset_table_matches_the_cyclotomic_products_to_level_400(monkeypatch):
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "400")
+    fields = list(_admissible_fields(CLOSED_FORM_DEGREES, 400))
+    assert len(fields) == 84
+    _check_tables_against_cyclotomic_products(fields)
+
+
+def test_two_element_ideals_match_repeated_products():
+    # R^k = (f, alpha^k) for 1 <= k <= p, against R * R * ... through
+    # FractionalIdeal.__mul__, and P = (ell, alpha) for every ramified prime
+    fields = list(_admissible_fields(CLOSED_FORM_DEGREES, 200))
+    primes = 0
+    for p, f in fields:
+        K = build_field(p, f)
+        O = K.maximal_order()
+        R = nf._sum_kernel(K, f)
+        power = R
+        for k, alpha_k in enumerate(nf._uniformizer_powers(K, p), start=1):
+            assert nf._span_products(K, nf._two_element(K, f, alpha_k), 1, O) == power
+            power = power * R
+        assert power == nf._scalar_ideal(K, f) * R
+        alpha = nf._uniformizer(K)
+        for ell in K.ramified_primes:
+            assert nf._span_products(K, nf._two_element(K, ell, alpha), 1, O) == prime_above(K, ell)
+            primes += 1
+    assert primes == 49
+
+
+def _fresh_field(K):
+    """K built again, outside the field store, with an empty ideal memo."""
+    return nf.PeriodField(K.degree, K.conductor, K.character, K.generator)
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ("nonunit", "does not sum to mu"),
+    ("shift", "does not commute with sigma"),
+    ("det", "discriminant"),
+])
+def test_every_table_certificate_refuses_and_interns_nothing(mutation, message, monkeypatch):
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    if mutation == "nonunit":
+        original = nf._nonunit_period
+        monkeypatch.setattr(nf, "_nonunit_period", lambda p, f, d: original(p, f, d) + 1)
+    elif mutation == "shift":
+        original = nf.PeriodField.sigma_coords
+        monkeypatch.setattr(nf.PeriodField, "sigma_coords",
+                            lambda self, coords, power=1: original(self, coords, -power))
+    else:
+        original = linalg.det
+        monkeypatch.setattr(linalg, "det", lambda mat: 2 * original(mat))
+    for p, f in [(3, 13), (3, 91), (5, 11)]:
+        for _ in range(2):
+            with pytest.raises(FieldConstructionError, match=message):
+                build_field(p, f)
+    assert nf._FIELDS == {}
+    monkeypatch.undo()
+    assert build_field(3, 91).discriminant == 91**2
+
+
+@pytest.mark.parametrize("small, f", [(7, 91), (13, 91), (7, 133)])
+def test_a_character_of_smaller_conductor_is_refused(small, f, monkeypatch):
+    # the coset rule needs chi nontrivial at every prime of f: a character of
+    # conductor 7 presented at conductor 91 cuts out the conductor-7 field,
+    # whose periods in Q(zeta_91) the table does not describe
+    chi = build_field(3, small).character
+    lifted = {x: chi[x % small] for x in units_mod(f)}
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    with pytest.raises(FieldConstructionError):
+        build_field(3, f, character=lifted)
+    assert nf._FIELDS == {}
+
+
+def test_alpha_without_valuation_one_is_refused_and_stores_nothing(monkeypatch, k91):
+    # eta_0 is a unit at every ramified prime, so (f, eta_0) = O, not R, and
+    # (ell, eta_0) = O, not P
+    K = _fresh_field(k91)
+    monkeypatch.setattr(nf, "_uniformizer", lambda field: (1,) + (0,) * (field.degree - 1))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"rad\(91O\) is not the ideal"):
+            sqrt_inverse_different(K)
+        with pytest.raises(ArithmeticError, match=r"rad\(91O\) is not the ideal"):
+            different(K)
+        for ell in (7, 13):
+            with pytest.raises(ArithmeticError, match=rf"the prime over {ell} is not the ideal"):
+                prime_above(K, ell)
+    assert K._ideal_memo == {}
+    monkeypatch.undo()
+    assert sqrt_inverse_different(K) == sqrt_inverse_different(k91)
+    assert prime_above(K, 7) == prime_above(k91, 7)
+
+
+def test_a_radical_that_is_not_an_ideal_is_refused(monkeypatch, k13):
+    # the coordinate-sum kernel mod 7 * 13 is a lattice, not an O-ideal, and
+    # its cube is 13 O all the same: only (13, alpha) == R refuses it
+    K = _fresh_field(k13)
+    original = nf._sum_kernel
+    L = original(K, 91)
+    assert L**3 == nf._scalar_ideal(K, 13)
+    assert L * K.maximal_order() != L
+    monkeypatch.setattr(nf, "_sum_kernel", lambda field, n: original(field, 7 * n))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"rad\(13O\) is not the ideal \(13, eta_0 - eta_1\)"):
+            sqrt_inverse_different(K)
+        # the prime over 13 is refused as well, at its norm
+        with pytest.raises(ArithmeticError, match="has norm 91, expected 13"):
+            prime_above(K, 13)
+    assert K._ideal_memo == {}
+    monkeypatch.undo()
+    assert sqrt_inverse_different(K) == sqrt_inverse_different(k13)
+
+
+def test_a_wrong_power_of_alpha_is_refused_at_the_radical_power(monkeypatch, k13):
+    # alpha itself is right, so (13, alpha) == R holds; alpha^2 replaced by
+    # alpha makes the candidate different R, and R * R is not 13 O
+    K = _fresh_field(k13)
+    original = nf._uniformizer_powers
+    monkeypatch.setattr(nf, "_uniformizer_powers", lambda field, n: original(field, 1) * n)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"rad\(13O\)\^3 is not 13O"):
+            different(K)
+    assert K._ideal_memo == {}
+    monkeypatch.undo()
+    assert different(K) == different(k13)
+
+
+def test_field_and_hilbert_ideals_make_no_cyclotomic_product(monkeypatch):
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    calls = []
+
+    def spy(name, original):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counting
+
+    for cls, name in [(CyclotomicNumber, "__mul__"), (CyclotomicNumber, "__rmul__"),
+                      (nf.PeriodField, "coordinates"), (nf.PeriodField, "trace")]:
+        monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+    for p, f in [(3, 7), (3, 91), (5, 11), (7, 29)]:
+        K = build_field(p, f)
+        different(K)
+        sqrt_inverse_different(K)
     assert calls == []
