@@ -47,7 +47,6 @@ from .stickelberger import (
     equivariance_check,
     image_selfdual_check,
     integrality_check,
-    pairing,
     pairing_char,
     stickelberger_map,
     transpose_value,

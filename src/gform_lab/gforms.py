@@ -262,7 +262,7 @@ def _orbit_spans(a: AlgebraElement, lattice: FractionalIdeal) -> bool:
     """Whether the group orbit of a spans the fractional ideal (two-sided HNF
     equality)."""
     K = a.hom.field
-    coords_list = [K.coordinates(a.value_at(s)) for s in a.group.elements()]
+    coords_list = [K.sigma_coords(a.coords, a.hom.galois_power(s)) for s in a.group.elements()]
     dens = lcm(*(c.denominator for coords in coords_list for c in coords))
     rows = [[int(c * dens) for c in coords] for coords in coords_list]
     try:

@@ -10,10 +10,10 @@ elimination, both on integer rows:
 - `_eliminate`, forward fraction-free Gaussian elimination (Bareiss 1968;
   Cohen, GTM 138, section 2.2) on rows whose denominators were cleared
   first, so every division is exact. It clears below the pivots only, and
-  only right of each pivot column. `det` and `independent_rows` read its
-  pivots; `inverse` and `solve` finish with an exact integer
-  back-substitution, Y = D * A^-1 B for the last pivot D. An entry outside
-  Q, such as a CyclotomicNumber, is a TypeError.
+  only right of each pivot column. `det` reads its pivots; `inverse` and
+  `solve` finish with an exact integer back-substitution, Y = D * A^-1 B
+  for the last pivot D. An entry outside Q, such as a CyclotomicNumber, is
+  a TypeError.
 
 Lattices are integer rows over one positive denominator. `inverse` returns
 its result that way, as (rows, den) with gcd(den, *rows) = 1, and builds no
@@ -248,12 +248,6 @@ def _back_substitute(a, n: int, D: int | None = None) -> tuple[list[list[int]], 
             y[k] = (D * row[c] - sum(map(mul, row[k + 1:n], y[k + 1:]))) // row[k]
         cols.append(y)
     return cols, D
-
-
-def independent_rows(mat) -> list[int]:
-    """Indices of the greedy-first rows of mat that form a basis of its row
-    span: the pivot columns of the transpose."""
-    return _eliminate(transpose(mat), len(mat))[1]
 
 
 def det(mat) -> Fraction:

@@ -16,8 +16,15 @@ mu(f). The trace Gram is mu(f) times the row sums of the table. Three exact
 certificates hold the table: each row sums to mu(f) * eta_i, sigma shifts it
 (T[i+1][j+1] is T[i][j] shifted), and the discriminant identity
 disc = f^(p-1), which also certifies that the periods are a Z-basis of the
-maximal order. The periods in Q(zeta_f), the embedding and `coordinates`
-serve the resolvend layer and the independent `trace_gram` route.
+maximal order.
+
+A field stores no value of Q(zeta_f). Values enter and leave it in closed
+form, for the resolvend layer and the independent `trace_gram` route:
+eta_t is the indicator of the coset {x unit : chi(x) = t}, so `element`
+writes coordinates as one exponent vector; and for x in K,
+Tr_K(x eta_j) = Tr(x zeta_f^(c_j)), so `coordinates` takes p dot products
+with the cyclotomic trace table and applies the inverse trace Gram (the
+trace-dual basis), then requires the exact round trip back to x.
 
 Ideals are stored as row-HNF integer matrices over the period basis with a
 single positive denominator, so equality of ideals is equality of canonical
@@ -73,7 +80,7 @@ from .arith import (
     primitive_root,
     units_mod,
 )
-from .cyclotomic import CyclotomicNumber, _check_level
+from .cyclotomic import CyclotomicNumber, _check_level, _trace_table
 from .groups import FiniteAbelianGroup, GroupElement
 from .record import Record
 
@@ -97,7 +104,14 @@ class PeriodField:
     over cosets (eta_i * eta_j = sum over h in H of eta(c_i + c_j h), the
     module docstring gives the rule) and certified by its row sums, its sigma
     shift and the discriminant identity. `build_field` shares one instance
-    between callers, so the character is a read-only mapping."""
+    between callers, so the character is a read-only mapping.
+
+    The field holds integers only: the table, the Gram and its inverse, and
+    the cosets. The periods, `element` and `coordinates` build their
+    Q(zeta_f) values on each call (the module docstring gives the closed
+    forms). det Gram = f^(p-1) != 0 is the certificate that the periods are
+    independent, and `coordinates` accepts a value only when its coordinates
+    give it back exactly."""
 
     def __init__(self, degree: int, conductor: int, character: dict[int, int], generator: int):
         self.degree = degree
@@ -115,8 +129,6 @@ class PeriodField:
             raise FieldConstructionError("generator must map to 1 under the character")
         self.cosets = tuple(pow(generator, j, f) for j in range(p))
 
-        self.periods = tuple(self._orbit_sum(c) for c in self.cosets)
-        self._init_expansion()
         self._init_tables()
         # the ideal layer, built and verified on first use: ell -> the prime
         # over ell (`prime_above`), "hilbert" -> (different, A), a HomToG ->
@@ -124,26 +136,6 @@ class PeriodField:
         self._ideal_memo = {}
 
     # -- construction internals ------------------------------------------
-
-    def _orbit_sum(self, coset_rep: int) -> CyclotomicNumber:
-        f = self.conductor
-        raw = [0] * f
-        for k in self.subgroup:
-            raw[coset_rep * k % f] += 1
-        return CyclotomicNumber.from_powers(f, raw)
-
-    def _init_expansion(self):
-        # periods are sums of roots of unity, so their numerators over den 1
-        # are the integer columns of the embedding into Q(zeta_f)
-        cols = [eta.num for eta in self.periods]
-        self._embed_matrix = [list(row) for row in zip(*cols)]
-        pivots = linalg.independent_rows(self._embed_matrix)
-        if len(pivots) < self.degree:
-            raise FieldConstructionError("periods are linearly dependent")
-        self._pivot_rows = pivots
-        # the pivot inverse as an integer matrix over one denominator
-        self._pivot_inverse, self._pivot_den = linalg.inverse(
-            [self._embed_matrix[i] for i in pivots])
 
     def _init_tables(self):
         p, f = self.degree, self.conductor
@@ -184,28 +176,41 @@ class PeriodField:
                 f"discriminant {disc} != {f}^{p-1}; conductor drops or order not maximal"
             )
         self.discriminant = int(disc)
+        # the trace-dual basis: x = sum_i (Gram^-1 t)_i eta_i for t_j = Tr(x eta_j)
+        self._gram_inverse, self._gram_den = linalg.inverse(self.gram)
 
     # -- element plumbing ---------------------------------------------------
 
+    @property
+    def periods(self) -> tuple[CyclotomicNumber, ...]:
+        """eta_0, ..., eta_(p-1) in Q(zeta_f), built on each access."""
+        return tuple(self.element(row) for row in linalg.identity_matrix(self.degree))
+
     def element(self, coords, den: int = 1) -> CyclotomicNumber:
-        """sum(coords[t] * eta_t) / den for int or Fraction coords: one
-        product with the embedding matrix, the inverse of `coordinates`."""
+        """sum(coords[t] * eta_t) / den for int or Fraction coords, the
+        inverse of `coordinates`. eta_t is the indicator of the coset
+        {x unit : chi(x) = t}, so the exponent vector is coords[chi(x)] at
+        each unit x."""
         scale = lcm(*(c.denominator for c in coords))
         num = [c.numerator * (scale // c.denominator) for c in coords]
-        return CyclotomicNumber._raw(
-            self.conductor, tuple(linalg.mat_vec(self._embed_matrix, num)), scale * den)
+        raw = [0] * self.conductor
+        for x, t in self.character.items():
+            raw[x] = num[t]
+        return CyclotomicNumber.from_powers(self.conductor, raw, scale * den)
 
     def coordinates(self, x: CyclotomicNumber) -> tuple[Fraction, ...]:
         """Period-basis coordinates of x; raises ValueError if x is not in
-        the field (checked against the full embedding, not just the pivots)."""
-        x = x.raise_level(self.conductor)
-        num, scale = x.num, self._pivot_den
-        # w / scale are the coordinates of the numerator vector num
-        w = linalg.mat_vec(self._pivot_inverse, [num[i] for i in self._pivot_rows])
-        for row, c in zip(self._embed_matrix, num):
-            if sum(map(mul, row, w)) != c * scale:
-                raise ValueError("value does not lie in the period field")
-        den = scale * x.den
+        the field. For x in K, Tr_K(x eta_j) = Tr(x zeta_f^(c_j)), since eta_j
+        is the trace of zeta_f^(c_j) down to K; the coordinates are the
+        inverse Gram times these p traces, and must give x back exactly."""
+        f = self.conductor
+        x = x.raise_level(f)
+        table = _trace_table(f)
+        traces = [sum(map(mul, x.num, table[c:] + table[:c])) for c in self.cosets]
+        w = linalg.mat_vec(self._gram_inverse, traces)
+        den = self._gram_den * x.den
+        if self.element(w, den) != x:
+            raise ValueError("value does not lie in the period field")
         return tuple(Fraction(c, den) for c in w)
 
     def sigma(self, x: CyclotomicNumber, power: int = 1) -> CyclotomicNumber:
@@ -308,8 +313,8 @@ def build_field(degree: int, conductor: int, generator: int | None = None,
         character, default_generator, items = _default_character(p, f)
     else:
         default_generator, items = _resolve_character(p, character)
-    if generator is None:
-        generator = default_generator
+    # a generator and its residue mod f give the same cosets, hence one field
+    generator = default_generator if generator is None else generator % f
     # the cap holds on a hit too, so no call's outcome depends on earlier ones
     _check_level(f)
     key = (p, f, generator, items)

@@ -129,35 +129,6 @@ class StickelbergerVector(Record):
         return StickelbergerVector(self.group, tuple(q * a for a in self.coeffs))
 
 
-def pairing(psi, alpha, group: FiniteAbelianGroup | None = None) -> Fraction:
-    """Fully bilinear pairing: psi is a DualLatticeElement or a rational
-    coefficient sequence over the characters, alpha a GroupElement, a
-    StickelbergerVector, or a rational coefficient sequence over G."""
-    if isinstance(psi, DualLatticeElement):
-        G = psi.group
-        psi_coeffs = [Fraction(c) for c in psi.coeffs]
-    else:
-        if group is None:
-            raise ValueError("raw coefficient vectors need an explicit group")
-        G = group
-        psi_coeffs = [Fraction(c) for c in psi]
-    _require_odd(G)
-    if isinstance(alpha, GroupElement):
-        return sum(
-            (n * pairing_char(chi, alpha) for chi, n in zip(G.characters(), psi_coeffs) if n),
-            Fraction(0),
-        )
-    alpha_coeffs = alpha.coeffs if isinstance(alpha, StickelbergerVector) else alpha
-    acc = Fraction(0)
-    for s, a in zip(G.elements(), alpha_coeffs):
-        a = Fraction(a)
-        if a:
-            for chi, n in zip(G.characters(), psi_coeffs):
-                if n:
-                    acc += n * a * pairing_char(chi, s)
-    return acc
-
-
 def _image_numerators(group: FiniteAbelianGroup, coeffs) -> list[int]:
     """The integers sum_chi psi_chi * upsilon(chi, s), in element order, for
     the integer coefficients of psi: |s| times the coefficient <psi, s> of s

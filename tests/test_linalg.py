@@ -240,15 +240,6 @@ EDGE_SYSTEMS = [
     ([[F(2, 7)]], [F(3, 11)]),
 ]
 
-# (mat, greedy-first basis): wide, zero leading columns, dependent rows
-EDGE_ROWS = [
-    ([[0, 0, 0], [0, 0, 5], [0, 2, 1], [0, 4, 7], [1, 0, 0]], [1, 2, 4]),
-    ([[0, 3, 0, 1], [0, 6, 0, 2], [F(1, 9), 0, 0, 0]], [0, 2]),
-    ([[F(1, 2), F(1, 3), F(1, 5)], [F(3, 2), 1, F(3, 5)], [0, 0, F(1, 7)]], [0, 2]),
-    ([[0, 0]], []),
-]
-
-
 def _check_det_and_inverse(M):
     n = len(M)
     S = _sympy_matrix(M)
@@ -345,29 +336,6 @@ def test_det_and_solve_on_int_mixed_and_bool_entries_match_sympy():
             rhs = [rng.randint(-3, 3) if shape < 2 else rng.random() < 0.5 for _ in range(m)]
         _check_solve(M, rhs, kinds[shape])
     assert all(all(k.values()) for k in kinds), kinds
-
-
-def _check_independent_rows(M, expected):
-    assert linalg.independent_rows(M) == expected
-    if len(expected) == len(M[0]):
-        assert linalg.det([M[i] for i in expected]) != 0
-
-
-def test_independent_rows_are_the_greedy_first_basis():
-    rng = random.Random(14)
-    for trial in range(80):
-        m, n = rng.randint(1, 6), rng.randint(1, 4)
-        M = _rand_matrix(rng, m, n, rank_deficient=trial % 2 == 0)
-        if trial % 5 == 0:
-            M[0] = [Fraction(0)] * n
-        expected, rank = [], 0
-        for i in range(m):
-            if _sympy_matrix([M[j] for j in expected + [i]]).rank() > rank:
-                expected.append(i)
-                rank += 1
-        _check_independent_rows(M, expected)
-    for M, expected in EDGE_ROWS:
-        _check_independent_rows(M, expected)
 
 
 def test_elimination_rejects_entries_outside_q():

@@ -8,6 +8,7 @@ import gform_lab.number_fields as nf
 from gform_lab import linalg
 from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius, units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
+from gform_lab.gforms import find_self_dual_generator, gform_from_A
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
     FieldConstructionError,
@@ -129,18 +130,23 @@ def test_element_inverts_coordinates(p, f):
     assert K.coordinates(K.element(q, 7)) == tuple(v / 7 for v in q)
 
 
-@pytest.mark.parametrize("conductor", [7, 13])
-def test_coordinates_checks_every_row_of_the_embedding(conductor):
-    # a power-basis vector that vanishes on the pivot rows solves to zero
-    # coordinates there, so only the remaining rows can reject it
-    K = build_field(3, conductor)
-    rows = len(K.periods[0].num)
-    others = [i for i in range(rows) if i not in K._pivot_rows]
-    assert others
-    for i in others:
-        x = CyclotomicNumber(conductor, [Fraction(int(j == i), 5) for j in range(rows)])
-        with pytest.raises(ValueError, match="does not lie in the period field"):
-            K.coordinates(x)
+@pytest.mark.parametrize("p, f", [(3, 7), (3, 13), (3, 91), (5, 11)])
+def test_coordinates_accept_only_the_field_among_power_basis_vectors(p, f):
+    # z^i / 5 lies in the field only for i = 0: every other power-basis
+    # vector is refused, and the rational one comes back from its coordinates
+    K = build_field(p, f)
+    phi = euler_phi(f)
+    accepted = []
+    for i in range(phi):
+        x = CyclotomicNumber(f, [Fraction(int(j == i), 5) for j in range(phi)])
+        try:
+            coords = K.coordinates(x)
+        except ValueError as exc:
+            assert str(exc) == "value does not lie in the period field"
+            continue
+        assert K.element(coords) == x
+        accepted.append(i)
+    assert accepted == [0]
 
 
 def test_prime_above_and_ramification(k7):
@@ -471,6 +477,11 @@ def test_equal_requests_share_one_field(k7, k13, k91):
     assert build_field(3, 91, generator=g) is not build_field(3, 91, g, dict(other.character))
     moved = build_field(3, 7, generator=pow(k7.generator, 4, 7))
     assert moved is not k7 and moved.generator != k7.generator
+    # a generator names its residue mod f: the same cosets, the same field
+    for g in (k7.generator + 7, k7.generator - 7):
+        assert build_field(3, 7, generator=g) is k7
+    P = prime_above(k7, 7)
+    assert prime_above(build_field(3, 7, generator=k7.generator + 7), 7) * P == P * P
 
 
 @pytest.mark.parametrize("p, f", [(3, 7), (3, 91), (5, 11)])
@@ -517,10 +528,11 @@ def _product_table(K):
     """The multiplication table from products in Q(zeta_f): the period
     coordinates of eta_i * eta_j, required integral."""
     p = K.degree
+    periods = K.periods
     table = [[None] * p for _ in range(p)]
     for i in range(p):
         for j in range(i, p):
-            coords = K.coordinates(K.periods[i] * K.periods[j])
+            coords = K.coordinates(periods[i] * periods[j])
             assert all(c.denominator == 1 for c in coords)
             table[i][j] = table[j][i] = tuple(int(c) for c in coords)
     return tuple(tuple(row) for row in table)
@@ -531,7 +543,8 @@ def _check_tables_against_cyclotomic_products(fields):
         K = build_field(p, f)
         assert K.mult_table == _product_table(K)
         # the Gram against the cyclotomic trace of each product
-        assert K.gram == tuple(tuple(K.trace(a * b) for b in K.periods) for a in K.periods)
+        periods = K.periods
+        assert K.gram == tuple(tuple(K.trace(a * b) for b in periods) for a in periods)
 
 
 def test_coset_table_matches_the_cyclotomic_products():
@@ -684,3 +697,28 @@ def test_field_and_hilbert_ideals_make_no_cyclotomic_product(monkeypatch):
         different(K)
         sqrt_inverse_different(K)
     assert calls == []
+
+
+def test_field_ideal_and_form_layers_make_no_cyclotomic_value(monkeypatch):
+    # from a fresh field to the self-dual search on its A-form, every step
+    # runs on integers: no CyclotomicNumber is constructed
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    made = []
+
+    def spy(name, original):
+        def counting(*args, **kwargs):
+            made.append(name)
+            return original(*args, **kwargs)
+        return counting
+
+    for name in ("_raw", "from_powers"):
+        original = getattr(CyclotomicNumber, name)
+        monkeypatch.setattr(CyclotomicNumber, name, staticmethod(spy(name, original)))
+    monkeypatch.setattr(CyclotomicNumber, "__init__",
+                        spy("__init__", CyclotomicNumber.__init__))
+    for p, f in [(3, 7), (5, 11), (3, 91), (7, 29), (3, 133)]:
+        K = build_field(p, f)
+        different(K)
+        sqrt_inverse_different(K)
+        find_self_dual_generator(gform_from_A(K))
+    assert made == []

@@ -12,19 +12,20 @@ from gform_lab.arith import euler_phi, unit_group_generators
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.groups import (
     FiniteAbelianGroup,
+    GroupElement,
     character_value_exponent,
     group_tables,
 )
 from gform_lab.stickelberger import (
     DualLatticeElement,
     EquivariantMap,
+    StickelbergerVector,
     _image_exponents,
     det_kernel_basis,
     equivariance_check,
     image_selfdual_check,
     integrality_certificate,
     integrality_check,
-    pairing,
     pairing_char,
     stickelberger_map,
     transpose_value,
@@ -41,6 +42,36 @@ C33 = FiniteAbelianGroup((3, 3))
 
 def dual(G, coeffs):
     return DualLatticeElement(G, tuple(coeffs))
+
+
+def pairing(psi, alpha, group: FiniteAbelianGroup | None = None) -> Fraction:
+    """The centered pairing extended bilinearly, an oracle for the library:
+    psi is a DualLatticeElement or a rational coefficient sequence over the
+    characters, alpha a GroupElement, a StickelbergerVector, or a rational
+    coefficient sequence over G."""
+    if isinstance(psi, DualLatticeElement):
+        G = psi.group
+        psi_coeffs = [Fraction(c) for c in psi.coeffs]
+    else:
+        if group is None:
+            raise ValueError("raw coefficient vectors need an explicit group")
+        G = group
+        psi_coeffs = [Fraction(c) for c in psi]
+    stk._require_odd(G)
+    if isinstance(alpha, GroupElement):
+        return sum(
+            (n * pairing_char(chi, alpha) for chi, n in zip(G.characters(), psi_coeffs) if n),
+            Fraction(0),
+        )
+    alpha_coeffs = alpha.coeffs if isinstance(alpha, StickelbergerVector) else alpha
+    acc = Fraction(0)
+    for s, a in zip(G.elements(), alpha_coeffs):
+        a = Fraction(a)
+        if a:
+            for chi, n in zip(G.characters(), psi_coeffs):
+                if n:
+                    acc += n * a * pairing_char(chi, s)
+    return acc
 
 
 def test_upsilon_examples():
@@ -591,8 +622,6 @@ def test_c1_reports_a_perturbed_upsilon_with_a_counterexample(facs, monkeypatch)
 
 
 def test_equivariant_map_is_index_keyed(monkeypatch):
-    from gform_lab.groups import GroupElement
-
     rng = random.Random(37)
     for G in (C3, C9, C33):
         f = EquivariantMap.random_map(G, rng)
