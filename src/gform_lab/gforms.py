@@ -109,9 +109,6 @@ class GForm:
     def determinant(self) -> Fraction:
         return self._determinant
 
-    def is_positive_definite(self) -> bool:
-        return linalg.is_positive_definite(self._gram_num)
-
     def __repr__(self):
         return f"GForm({self.label})"
 
@@ -317,10 +314,12 @@ def product_law(
         hom1 = HomToG.standard(field1)
     if hom2 is None:
         hom2 = HomToG.standard(field2, hom1.group)
-    composite = compose_fields(field1, field2, weights=hom1.product_weights(hom2))
+    # a bad pair fails here, before the two witness searches
+    compose_fields(field1, field2, weights=hom1.product_weights(hom2))
     w1, a1 = self_dual_generator(field1, hom1)
     w2, a2 = self_dual_generator(field2, hom2)
-    a = product_resolvend(a1, a2, composite)
+    a = product_resolvend(a1, a2)
+    composite = a.hom.field
     self_dual = is_self_dual(a)
     holds = self_dual and _orbit_spans(a, sqrt_inverse_different(composite))
     return ProductLaw((w1, w2), composite, a, self_dual, holds)

@@ -318,11 +318,6 @@ def _definite_minors(gram):
     return u, L
 
 
-def is_positive_definite(gram) -> bool:
-    """Whether the symmetric rational gram is positive definite."""
-    return _definite_minors(gram) is not None
-
-
 def quadratic_solutions(gram, target) -> list[tuple[int, ...]]:
     """All nonzero integer vectors v with v^T gram v == target, up to sign.
 

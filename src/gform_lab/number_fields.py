@@ -271,6 +271,26 @@ _FIELDS: dict[tuple, PeriodField] = {}
 _DEFAULT_CHARACTERS: dict[tuple[int, int], tuple[dict[int, int], int, frozenset]] = {}
 
 
+def _inadmissible(p: int, f: int | None = None) -> str | None:
+    """The first reason the degree p, or the pair (p, f), admits no field
+    (p must be an odd prime; f squarefree, at least 3, prime to p, with every
+    prime factor 1 mod p), or None if it admits one."""
+    if not is_prime(p) or p == 2:
+        return f"degree {p} must be an odd prime"
+    if f is None:
+        return None
+    if f < 3:
+        return f"conductor {f} is too small"
+    if f % p == 0:
+        return f"wild prime: {p} divides the conductor {f}"
+    if not is_squarefree(f):
+        return f"conductor {f} is not squarefree"
+    for ell, _ in factorize(f):
+        if (ell - 1) % p:
+            return f"prime {ell} is not 1 mod {p}; no degree-{p} character of conductor {f}"
+    return None
+
+
 def _resolve_character(p: int, character) -> tuple[int, frozenset]:
     """(default generator, items) of a character onto Z/p: the least unit
     mapped to 1, and the frozen items that key the field store."""
@@ -296,19 +316,8 @@ def build_field(degree: int, conductor: int, generator: int | None = None,
     squarefree conductor inside Q(zeta_f), built and verified once per
     process: an equal request returns the same object."""
     p, f = degree, conductor
-    if not is_prime(p) or p == 2:
-        raise FieldConstructionError(f"degree {p} must be an odd prime")
-    if f < 3:
-        raise FieldConstructionError(f"conductor {f} is too small")
-    if f % p == 0:
-        raise FieldConstructionError(f"wild prime: {p} divides the conductor {f}")
-    if not is_squarefree(f):
-        raise FieldConstructionError(f"conductor {f} is not squarefree")
-    for ell, _ in factorize(f):
-        if (ell - 1) % p:
-            raise FieldConstructionError(
-                f"prime {ell} is not 1 mod {p}; no degree-{p} character of conductor {f}"
-            )
+    if reason := _inadmissible(p, f):
+        raise FieldConstructionError(reason)
     if character is None:
         character, default_generator, items = _default_character(p, f)
     else:

@@ -207,7 +207,7 @@ def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
     return _with_resolvend(a.hom.inverse_hom(), r_inv)
 
 
-def product_resolvend(a1: AlgebraElement, a2: AlgebraElement, composite=None) -> AlgebraElement:
+def product_resolvend(a1: AlgebraElement, a2: AlgebraElement) -> AlgebraElement:
     """The element of the product-identified algebra whose resolvend is
     r(a1) r(a2); the two conductors must be coprime."""
     if a1.group != a2.group:
@@ -216,9 +216,8 @@ def product_resolvend(a1: AlgebraElement, a2: AlgebraElement, composite=None) ->
         return a2
     if a2.is_split:
         return a1
-    if composite is None:
-        weights = a1.hom.product_weights(a2.hom)
-        composite = compose_fields(a1.hom.field, a2.hom.field, weights=weights)
+    weights = a1.hom.product_weights(a2.hom)
+    composite = compose_fields(a1.hom.field, a2.hom.field, weights=weights)
     h12 = HomToG(composite, a1.group, a1.group.element((1,)))
     return _with_resolvend(h12, resolvend(a1) * resolvend(a2))
 

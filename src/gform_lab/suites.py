@@ -5,6 +5,13 @@ exactly one suite; a suite runs its checks with RNG streams derived from the
 single config seed, so identical configs produce byte-identical reports (the
 opt-in timing block is the only nondeterministic part and stays outside the
 hashed core).
+
+Every check shares one protocol: it is a generator that yields
+(key, entry, ok) for each instance it certifies, and `run_check` alone turns
+those into a result, with `details[key] = entry` in yield order and status
+"fail" if any ok is false. A check that raises reports status "error" and
+the exception, with none of its entries. The sieve keeps the conductors that
+`number_fields` admits, by the same rule `build_field` enforces.
 """
 
 from __future__ import annotations
@@ -13,14 +20,24 @@ import hashlib
 import json
 import random
 import time
+from collections.abc import Iterator
 
-from .arith import factorize, is_prime, is_squarefree, unit_group_generators
+from .arith import unit_group_generators
 from .groups import FiniteAbelianGroup
 from . import stickelberger as stk
 from . import group_ring as gr
 from . import gforms
 from . import resolvends as rsv
-from .number_fields import HomToG, build_field, different, dual_lattice, sqrt_inverse_different, trace_gram
+from .number_fields import (
+    FieldConstructionError,
+    HomToG,
+    _inadmissible,
+    build_field,
+    different,
+    dual_lattice,
+    sqrt_inverse_different,
+    trace_gram,
+)
 from . import linalg
 from .record import Record
 
@@ -28,6 +45,9 @@ SCHEMA_VERSION = 1
 
 ACCEPTANCE_GROUPS = [(3,), (5,), (7,), (9,), (3, 3)]
 WITNESS_CONDUCTORS_DEG3 = (7, 13, 19, 31, 37, 43)
+
+# what a check yields: (details key, entry, whether the instance holds)
+Instances = Iterator[tuple[str, object, bool]]
 
 
 class SuiteConfig(Record):
@@ -113,54 +133,33 @@ class Report(Record):
 
 
 def sieve_conductors(degree: int, bound: int) -> list[int]:
-    """Squarefree integers up to the bound, coprime to the degree, all of
-    whose prime factors are 1 mod degree."""
-    if not is_prime(degree) or degree == 2:
-        raise ValueError(f"degree {degree} must be an odd prime")
-    out = []
-    for f in range(3, bound + 1):
-        if f % degree == 0 or not is_squarefree(f):
-            continue
-        facs = factorize(f)
-        if not facs:
-            continue
-        if all((ell - 1) % degree == 0 for ell, _ in facs):
-            out.append(f)
-    return out
+    """The conductors up to the bound that admit a cyclic field of the given
+    degree, by the rule `build_field` enforces."""
+    if reason := _inadmissible(degree):
+        raise FieldConstructionError(reason)
+    return [f for f in range(3, bound + 1) if _inadmissible(degree, f) is None]
 
 
 # ---------------------------------------------------------------------------
-# acceptance checks
+# acceptance checks: each yields (key, entry, ok) per certified instance
 
 
-def check_stickelberger_integrality(config: SuiteConfig) -> tuple[str, dict]:
-    details = {}
-    status = "pass"
+def check_stickelberger_integrality(config: SuiteConfig) -> Instances:
     for facs in config.groups:
         cert = stk.integrality_certificate(FiniteAbelianGroup(facs))
-        details[str(cert.group)] = cert.to_json()
-        if not cert.holds:
-            status = "fail"
-    return status, details
+        yield str(cert.group), cert.to_json(), cert.holds
 
 
-def check_equivariance(config: SuiteConfig) -> tuple[str, dict]:
-    details = {}
-    status = "pass"
+def check_equivariance(config: SuiteConfig) -> Instances:
     for facs in [(7,), (9,)]:
         G = FiniteAbelianGroup(facs)
         gens = unit_group_generators(G.exponent)
         ok = stk.equivariance_check(G, gens)
-        details[str(G)] = {"generators": list(gens), "ok": ok}
-        if not ok:
-            status = "fail"
-    return status, details
+        yield str(G), {"generators": list(gens), "ok": ok}, ok
 
 
-def check_image_selfdual(config: SuiteConfig) -> tuple[str, dict]:
+def check_image_selfdual(config: SuiteConfig) -> Instances:
     rng = config.rng("C3")
-    details = {}
-    status = "pass"
     for facs in [(3,), (7,)]:
         G = FiniteAbelianGroup(facs)
         bad = 0
@@ -168,16 +167,11 @@ def check_image_selfdual(config: SuiteConfig) -> tuple[str, dict]:
             f = stk.EquivariantMap.random_map(G, rng)
             if not stk.image_selfdual_check(f):
                 bad += 1
-        details[str(G)] = {"maps": 100, "failures": bad}
-        if bad:
-            status = "fail"
-    return status, details
+        yield str(G), {"maps": 100, "failures": bad}, not bad
 
 
-def check_resolvend_pairing(config: SuiteConfig) -> tuple[str, dict]:
+def check_resolvend_pairing(config: SuiteConfig) -> Instances:
     rng = config.rng("C4")
-    details = {}
-    status = "pass"
     for f in (7, 13):
         K = build_field(3, f)
         hom = HomToG.standard(K)
@@ -187,15 +181,10 @@ def check_resolvend_pairing(config: SuiteConfig) -> tuple[str, dict]:
             b = rsv.AlgebraElement(hom, K.element([rng.randrange(-9, 10) for _ in range(3)]))
             if not rsv.resolvend_pairing_identity(a, b):
                 bad += 1
-        details[f"conductor_{f}"] = {"pairs": 100, "failures": bad}
-        if bad:
-            status = "fail"
-    return status, details
+        yield f"conductor_{f}", {"pairs": 100, "failures": bad}, not bad
 
 
-def check_sqrt_inverse_different(config: SuiteConfig) -> tuple[str, dict]:
-    details = {}
-    status = "pass"
+def check_sqrt_inverse_different(config: SuiteConfig) -> Instances:
     targets = [(3, f) for f in sieve_conductors(3, config.conductor_bound)] + [(5, 11)]
     for p, f in targets:
         K = build_field(p, f)
@@ -212,83 +201,61 @@ def check_sqrt_inverse_different(config: SuiteConfig) -> tuple[str, dict]:
             "gram_det_A": str(linalg.det(trace_gram(K, A.basis_elements()))),
             "gram_det_O": str(linalg.det([list(r) for r in K.gram])),
         }
-        ok = (
+        entry["ok"] = ok = (
             entry["A_squared_is_inverse_different"]
             and entry["A_self_dual"]
             and entry["gram_det_A"] == "1"
             and entry["gram_det_O"] == str(f ** (p - 1))
             and K.discriminant == f ** (p - 1)
         )
-        entry["ok"] = ok
-        if not ok:
-            status = "fail"
-        details[f"deg{p}_cond{f}"] = entry
-    return status, details
+        yield f"deg{p}_cond{f}", entry, ok
 
 
-def check_selfdual_witnesses(config: SuiteConfig) -> tuple[str, dict]:
-    details = {}
-    status = "pass"
+def check_selfdual_witnesses(config: SuiteConfig) -> Instances:
     targets = [(3, f) for f in WITNESS_CONDUCTORS_DEG3] + [(5, 11)]
     for p, f in targets:
         K = build_field(p, f)
         try:
             w, a = gforms.self_dual_generator(K)
         except gforms.WitnessNotFound:
-            status = "fail"
-            details[f"deg{p}_cond{f}"] = {"found": False}
+            yield f"deg{p}_cond{f}", {"found": False}, False
             continue
         reverified = gforms.is_self_dual_generator(a, sqrt_inverse_different(K))
-        details[f"deg{p}_cond{f}"] = {"found": True, "reverified": reverified, **w.to_json()}
-        if not reverified:
-            status = "fail"
-    return status, details
+        yield f"deg{p}_cond{f}", {"found": True, "reverified": reverified, **w.to_json()}, reverified
 
 
-def check_inverse_law(config: SuiteConfig) -> tuple[str, dict]:
-    details = {}
-    status = "pass"
+def check_inverse_law(config: SuiteConfig) -> Instances:
     for f in (7, 13):
-        K = build_field(3, f)
-        ok = gforms.verify_inverse_law(K)
-        details[f"conductor_{f}"] = {"ok": ok}
-        if not ok:
-            status = "fail"
-    return status, details
+        ok = gforms.verify_inverse_law(build_field(3, f))
+        yield f"conductor_{f}", {"ok": ok}, ok
 
 
-def check_weak_multiplicativity(config: SuiteConfig) -> tuple[str, dict]:
-    K7 = build_field(3, 7)
-    K13 = build_field(3, 13)
-    ok = gforms.verify_weak_multiplicativity(K7, K13)
-    return ("pass" if ok else "fail"), {"conductors": [7, 13], "composite": 91, "ok": ok}
+def check_weak_multiplicativity(config: SuiteConfig) -> Instances:
+    # one instance, reported as flat fields with the verdict on "ok"
+    ok = gforms.verify_weak_multiplicativity(build_field(3, 7), build_field(3, 13))
+    yield "conductors", [7, 13], True
+    yield "composite", 91, True
+    yield "ok", ok, ok
 
 
-def check_factorization(config: SuiteConfig) -> tuple[str, dict]:
-    details = {}
-    status = "pass"
+def check_factorization(config: SuiteConfig) -> Instances:
     for f in (7, 13):
         K = build_field(3, f)
         try:
             _, a = gforms.self_dual_generator(K)
         except gforms.WitnessNotFound:
-            status = "fail"
-            details[f"conductor_{f}"] = {"witness_found": False}
+            yield f"conductor_{f}", {"witness_found": False}, False
             continue
         result = rsv.stickelberger_factorization_check(a)
-        details[f"conductor_{f}"] = {
+        entry = {
             "passed": result.passed,
             "branch_witness": list(result.witness.exponents) if result.witness else None,
         }
-        if not result.passed:
-            status = "fail"
-    return status, details
+        yield f"conductor_{f}", entry, result.passed
 
 
-def check_inversion_oracle(config: SuiteConfig) -> tuple[str, dict]:
+def check_inversion_oracle(config: SuiteConfig) -> Instances:
     rng = config.rng("C10")
-    details = {}
-    status = "pass"
     for facs in [(3,), (7,), (9,)]:
         G = FiniteAbelianGroup(facs)
         done = 0
@@ -307,10 +274,7 @@ def check_inversion_oracle(config: SuiteConfig) -> tuple[str, dict]:
             if not (inv == oracle and inv * gamma == gr.GroupRingElement.one(G)):
                 mismatches += 1
             done += 1
-        details[str(G)] = {"tested": done, "attempts": attempts, "mismatches": mismatches}
-        if mismatches:
-            status = "fail"
-    return status, details
+        yield str(G), {"tested": done, "attempts": attempts, "mismatches": mismatches}, not mismatches
 
 
 # check id -> (report name, check function)
@@ -339,14 +303,19 @@ SUITES = {
 
 
 def run_check(check_id: str, config: SuiteConfig) -> CheckResult:
-    """Run one check; a check that raises yields status "error" with the
-    exception's type and message, never the end of the suite."""
+    """Run one check: its details map each yielded key to its entry, in
+    yield order, and its status is "fail" if any instance is not ok. A check
+    that raises reports status "error" with the exception's type and message
+    and none of its entries, never the end of the suite."""
     name, fn = CHECKS[check_id]
     t0 = time.perf_counter()
     try:
-        status, details = fn(config)
+        instances = list(fn(config))
     except Exception as exc:
         status, details = "error", {"error": f"{type(exc).__name__}: {exc}"}
+    else:
+        details = {key: entry for key, entry, _ in instances}
+        status = "pass" if all(ok for _, _, ok in instances) else "fail"
     return CheckResult(check_id, name, status, details, time.perf_counter() - t0)
 
 

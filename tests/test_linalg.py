@@ -364,7 +364,7 @@ def small_definite_forms(draw):
     d = [draw(st.integers(0, 2)) for _ in range(n)]
     gram = [[sum(row[i] * row[j] for row in B) + (d[i] if i == j else 0) for j in range(n)]
             for i in range(n)]
-    assume(linalg.is_positive_definite(gram))
+    assume(linalg._definite_minors(gram) is not None)
     return gram
 
 
@@ -427,7 +427,7 @@ def test_elimination_back_substitution_and_fincke_pohst_build_no_fraction():
         lambda: linalg.inverse(M),
         lambda: linalg.inverse(Mq),
         lambda: linalg._solve(tall, rhs),
-        lambda: linalg.is_positive_definite(gram_q),
+        lambda: linalg._definite_minors(gram_q),
         lambda: linalg.quadratic_solutions(gram, 2),
         lambda: linalg.quadratic_solutions(gram_q, two_thirds),
     ]
@@ -451,7 +451,7 @@ NOT_DEFINITE = [
 
 @pytest.mark.parametrize("gram", NOT_DEFINITE)
 def test_positive_definiteness_rejects_swaps_and_nonpositive_minors(gram):
-    assert not linalg.is_positive_definite(gram)
+    assert linalg._definite_minors(gram) is None
     assert not sympy.Matrix(gram).is_positive_definite
     with pytest.raises(ValueError, match="not positive definite"):
         linalg.quadratic_solutions(gram, 1)
@@ -461,8 +461,8 @@ def test_positive_definiteness_is_scale_invariant_for_positive_scales():
     gram = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
     for k in (F(1, 7), F(5, 3), 4):
         scaled = [[x * k for x in row] for row in gram]
-        assert linalg.is_positive_definite(scaled)
-        assert not linalg.is_positive_definite([[-x for x in row] for row in scaled])
+        assert linalg._definite_minors(scaled) is not None
+        assert linalg._definite_minors([[-x for x in row] for row in scaled]) is None
         assert linalg.quadratic_solutions(scaled, 2 * k) == linalg.quadratic_solutions(gram, 2)
 
 
@@ -483,6 +483,6 @@ def test_positive_definiteness_matches_sympy():
         if trial % 5 == 0:
             gram = [[F(x, 3) for x in row] for row in gram]
         expected = bool(_sympy_matrix([[F(x) for x in row] for row in gram]).is_positive_definite)
-        assert linalg.is_positive_definite(gram) == expected, gram
+        assert (linalg._definite_minors(gram) is not None) == expected, gram
         verdicts.add(expected)
     assert verdicts == {True, False}

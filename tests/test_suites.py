@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import sys
 import pytest
 
 from gform_lab.groups import FiniteAbelianGroup
-from gform_lab.suites import SUITES, SuiteConfig, run_suite, sieve_conductors
+from gform_lab.number_fields import FieldConstructionError, build_field
+from gform_lab.suites import CHECKS, SUITES, SuiteConfig, run_check, run_suite, sieve_conductors
 
 
 def test_sieve_conductors():
@@ -18,6 +20,56 @@ def test_sieve_conductors():
     assert 21 not in sieve_conductors(3, 100)  # 3 divides it
     with pytest.raises(ValueError):
         sieve_conductors(4, 10)
+
+
+def test_sieve_keeps_exactly_the_conductors_build_field_admits():
+    for p in (3, 5, 7):
+        kept = sieve_conductors(p, 100)
+        for f in range(-2, 101):
+            try:
+                build_field(p, f)
+            except FieldConstructionError:
+                assert f not in kept
+            else:
+                assert f in kept
+    for p in (1, 2, 4, 9):
+        with pytest.raises(FieldConstructionError, match=f"^degree {p} must be an odd prime$"):
+            sieve_conductors(p, 2)
+
+
+def test_every_check_is_a_generator_function():
+    for name, fn in CHECKS.values():
+        assert inspect.isgeneratorfunction(fn), name
+
+
+def test_run_check_keeps_every_instance_in_yield_order_and_fails_on_one(monkeypatch):
+    def check(config):
+        yield "second", {"n": 2}, True
+        yield "first", {"n": 1}, False
+        yield "third", [3], True
+
+    monkeypatch.setitem(CHECKS, "C7", ("inverse_law_instances", check))
+    result = run_check("C7", SuiteConfig())
+    assert (result.check_id, result.name, result.status) == ("C7", "inverse_law_instances", "fail")
+    assert list(result.details.items()) == [("second", {"n": 2}), ("first", {"n": 1}), ("third", [3])]
+    assert not run_suite("theorem11").passed
+
+
+def test_run_check_reports_a_raise_after_a_yield_as_error_without_entries(monkeypatch):
+    def check(config):
+        yield "done", {"ok": True}, True
+        raise ArithmeticError("second instance broke")
+
+    monkeypatch.setitem(CHECKS, "C7", ("inverse_law_instances", check))
+    result = run_check("C7", SuiteConfig())
+    assert result.status == "error"
+    assert result.details == {"error": "ArithmeticError: second instance broke"}
+    assert run_suite("theorem11").to_json()["checks"][0] == {
+        "id": "C7",
+        "name": "inverse_law_instances",
+        "status": "error",
+        "details": {"error": "ArithmeticError: second instance broke"},
+    }
 
 
 def test_unknown_suite_rejected():
@@ -213,12 +265,14 @@ def test_cli_group_spec_validation():
         (("selfdual", "search", "--conductor", "9"), {}, 2, "FieldConstructionError"),
         (("field", "analyze", "--conductor", "9"), {}, 2, "FieldConstructionError"),
         (("compose", "--conductors", "7,7"), {}, 2, "FieldConstructionError"),
+        (("corpus", "--degree", "4"), {}, 2, "FieldConstructionError"),
         (("stickelberger", "table", "--group", "2,4"), {}, 2, "GroupSpecError"),
         (("field", "analyze", "--conductor", "7"), {"GFORM_LAB_MAX_LEVEL": "abc"}, 2, "ValueError"),
         (("compose", "--conductors", "7,13"), {"GFORM_LAB_MAX_LEVEL": "50"}, 3,
          "LevelBoundError"),
     ],
-    ids=["selfdual_wild", "field_wild", "compose_clash", "even_group", "malformed_cap", "level_cap"],
+    ids=["selfdual_wild", "field_wild", "compose_clash", "corpus_degree", "even_group",
+         "malformed_cap", "level_cap"],
 )
 def test_cli_library_errors_are_one_line(argv, env, code, error):
     proc = run_cli(*argv, env=env)
