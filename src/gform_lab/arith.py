@@ -6,6 +6,15 @@ from functools import lru_cache
 from math import gcd
 
 
+def as_int(x) -> int:
+    """x as an int, for an int or any number equal to one, such as an
+    integral Fraction; a ValueError naming x where int(x) would truncate."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return n
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

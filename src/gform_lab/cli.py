@@ -5,7 +5,11 @@ Every command can emit a deterministic JSON document (--json to stdout,
 --out FILE to write it). Exit codes: 0 success; 1 a check failed or no
 witness was found; 2 rejected input (also argparse's code); 3 a cyclotomic
 level above GFORM_LAB_MAX_LEVEL. Library errors are reported as one line on
-stderr, never a traceback.
+stderr, never a traceback. `selfdual` reports a cap hit in its Fourier
+checks instead of exiting 3: the resolvents and the Stickelberger
+factorization check both work at level p*f, so one guard covers both, and
+the report gives `fourier_resolvents` as {"skipped": <message>} and both
+factorization checks as null.
 """
 
 from __future__ import annotations
@@ -122,17 +126,16 @@ def cmd_selfdual(args) -> int:
         _emit(doc, args)
         return 1
     r = rsv.resolvend(a)
-    factorization = (
-        rsv.stickelberger_factorization_check(a)
-        if len(K.ramified_primes) == 1
-        else None
-    )
+    # both work on the Fourier values at level p*f, so one cap hit skips both
     try:
         fourier_resolvents = {
             str(chi): v.to_json() for chi, v in rsv.resolvent_values(a).items()
         }
+        factorization = (
+            rsv.stickelberger_factorization_check(a) if len(K.ramified_primes) == 1 else None
+        )
     except LevelBoundError as exc:
-        fourier_resolvents = {"skipped": str(exc)}
+        fourier_resolvents, factorization = {"skipped": str(exc)}, None
     doc = {
         "degree": args.degree,
         "conductor": args.conductor,

@@ -28,12 +28,13 @@ Kronecker substitution cannot speed up. Both run on integer numerators in
 `_adjugate`, the one norm kernel, which the group-ring orbit inversion and
 the prime-element search call too.
 
-`convolve` is the group-ring product over cyclotomic coefficients as one
-Kronecker convolution on the same slot helpers: every coefficient is lifted
-to the lcm level of all of them by placing exponents, packed once, and the
-packed products are summed per output index as ints; each output is unpacked
-and reduced once, at the lcm level of the pairs that reached it. A product of
-two elements of Q(zeta_f)[C_p] thus takes p reductions instead of p^2
+Sums of roots of unity are built by placing exponents (`_place`, used by
+`raise_level`, the Galois action, `trace_to_subfield` and the group-ring
+character transform) and reduced once. `convolve`, the group-ring product
+over cyclotomic coefficients, lifts every coefficient to the lcm level by
+strided Kronecker packing, sums the packed products per output index as
+ints, and reduces each output once, at the lcm level of the pairs that
+reached it: p reductions for a product in Q(zeta_f)[C_p], not p^2
 CyclotomicNumber products and sums, with the same result, term for term.
 
 Supported levels are capped (default 200, override with the
@@ -288,12 +289,17 @@ def _product(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _reduce(n, phi, product(a, b))
 
 
+def _place(raw: list[int], num, stride: int = 1, shift: int = 0) -> list[int]:
+    """Add num[j] at exponent shift + stride*j mod len(raw) for each j; return raw."""
+    n = len(raw)
+    for j, c in enumerate(num):
+        raw[(shift + stride * j) % n] += c
+    return raw
+
+
 def _conjugate(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The numerator of sigma_k(num), zeta -> zeta^k, for a unit k mod n."""
-    raw = [0] * n
-    for i, c in enumerate(num):
-        raw[i * k % n] = c
-    return _reduce(n, len(num), raw)
+    return _reduce(n, len(num), _place([0] * n, num, k))
 
 
 @lru_cache(maxsize=None)
@@ -403,10 +409,7 @@ class CyclotomicNumber:
         if new_level % self.level:
             raise ValueError(f"{self.level} does not divide {new_level}")
         _check_level(new_level)
-        step = new_level // self.level
-        raw = [0] * new_level
-        for i, c in enumerate(self.num):
-            raw[i * step] = c
+        raw = _place([0] * new_level, self.num, new_level // self.level)
         # Z[zeta_level] = Q(zeta_level) & Z[zeta_new], so the content is kept
         num = _reduce(new_level, euler_phi(new_level), raw)
         return CyclotomicNumber._raw(new_level, num, self.den)
@@ -647,10 +650,9 @@ def prime_element_above(ell: int, level: int) -> "CyclotomicNumber":
 
 
 def trace_to_subfield(x: CyclotomicNumber, subgroup_generators) -> CyclotomicNumber:
-    """Sum of sigma_k(x) over the subgroup of (Z/level)^x generated by the
-    given residues; the result is fixed by that subgroup."""
-    H = subgroup_closure(tuple(subgroup_generators), x.level)
-    acc = CyclotomicNumber.rational(0, x.level)
-    for k in sorted(H):
-        acc = acc + x.galois(k if x.level > 1 else 1)
-    return acc
+    """Sum of sigma_k(x), placed once per k and reduced once, over the
+    subgroup of (Z/level)^x generated by the given residues, which fixes it."""
+    raw = [0] * x.level
+    for k in subgroup_closure(tuple(subgroup_generators), x.level):
+        _place(raw, x.num, k)
+    return CyclotomicNumber.from_powers(x.level, raw, x.den)

@@ -23,6 +23,7 @@ from math import lcm
 from operator import mul
 
 from . import linalg
+from .arith import as_int
 from .groups import FiniteAbelianGroup, GroupElement
 from .number_fields import (
     FractionalIdeal,
@@ -58,7 +59,8 @@ class GForm:
         self._gram_den = den = lcm(*(x.denominator for row in self.gram for x in row))
         self._gram_num = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                                for row in self.gram)
-        self.actions = {s: tuple(tuple(int(x) for x in row) for row in m) for s, m in actions.items()}
+        self.actions = {s: tuple(tuple(as_int(x) for x in row) for row in m)
+                        for s, m in actions.items()}
         self.label = label or f"form of rank {self.rank} over {group}"
         self.field = field
         self.hom = hom
@@ -193,8 +195,8 @@ class IsometryWitness(Record):
     @classmethod
     def of(cls, form: GForm, coords) -> "IsometryWitness":
         """The candidate at coords, with its orbit taken from the form."""
-        orbit = tuple(tuple(int(x) for x in form.act(coords, s)) for s in form.group.elements())
-        return cls(form, tuple(int(x) for x in coords), orbit)
+        coords = tuple(as_int(x) for x in coords)
+        return cls(form, coords, tuple(form.act(coords, s) for s in form.group.elements()))
 
     def verify(self) -> bool:
         """Re-derive the orbit from the coordinates, compare it with

@@ -11,9 +11,11 @@ coefficients. Arithmetic runs on indices through the `group_tables` product
 table and inverse permutation. A product of two rational elements is an
 integer convolution of their numerators; any other product is one packed
 convolution of the coefficients (`cyclotomic.convolve`), which reduces each
-output coefficient once. The character (Fourier) transform turns
-convolution into pointwise multiplication, which is how invertibility is
-decided; a regular-representation linear solve is an independent oracle.
+output coefficient once. The character (Fourier) transform and its inverse
+are one kernel (`_character_sums`): each coefficient is placed at its root
+of unity chi(s)^(+-1) = zeta_m^(+-e), and each value is reduced once. The
+transform turns convolution into pointwise multiplication, which decides
+invertibility; a regular-representation linear solve is an independent oracle.
 
 `try_invert` picks its route from the storage. A rational element takes the
 orbit route: QG splits as a product of fields Q(zeta_d), one per rational
@@ -41,7 +43,8 @@ from operator import mul
 
 from . import linalg
 from .arith import euler_phi
-from .cyclotomic import CyclotomicNumber, _adjugate, _reduce, _trace_table, convolve
+from .cyclotomic import (CyclotomicNumber, _adjugate, _check_level, _place, _reduce,
+                         _scaled_terms, _trace_table, convolve)
 from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
 
 
@@ -308,45 +311,38 @@ class FourierVector:
         )
 
 
-def _zeta_powers(m: int, level: int) -> list[CyclotomicNumber]:
-    z = [CyclotomicNumber.zeta(level, (level // m) * e) for e in range(m)]
-    return z
+def _character_sums(m: int, level: int, coeffs, rows, scale: int = 1):
+    """(N, [sum_j coeffs[j] zeta_m^row[j] / scale for row in rows]) at
+    N = lcm(m, level, every coefficient level), over one denominator."""
+    terms, den = _scaled_terms(coeffs)
+    n = lcm(m, level, *(t[2] for t in terms))
+    _check_level(n)
+    phi, step = euler_phi(n), n // m
+    out = []
+    for row in rows:
+        raw = [0] * n
+        for j, _, lv, v in terms:
+            _place(raw, v, n // lv, step * row[j])
+        out.append(CyclotomicNumber._raw(n, _reduce(n, phi, raw), den * scale))
+    return n, out
 
 
 def fourier(gamma: GroupRingElement) -> FourierVector:
     """Exact character transform; values live in Q(zeta_L) with
     L = lcm(exp(G), coefficient levels)."""
-    G = gamma.group
-    T = group_tables(G)
-    level = lcm(G.exponent, gamma.coefficient_level())
-    roots = _zeta_powers(G.exponent, level)
-    terms = [(i, c) for i, c in enumerate(gamma._coefficients()) if c]
-    values = {}
-    for chi, exps in zip(T.characters, T.value_exponents):
-        acc = CyclotomicNumber.rational(0, level)
-        for i, c in terms:
-            acc = acc + roots[exps[i]] * c
-        values[chi] = acc
-    return FourierVector(G, level, values)
+    G, T = gamma.group, group_tables(gamma.group)
+    level, values = _character_sums(G.exponent, 1, gamma._coefficients(), T.value_exponents)
+    return FourierVector(G, level, zip(T.characters, values))
 
 
 def fourier_inverse(vec: FourierVector) -> GroupRingElement:
     """Inverse transform (division by |G|); rational coefficients are demoted
     back to Fractions so round trips are structural identities."""
-    G = vec.group
-    T = group_tables(G)
-    m = G.exponent
-    level = vec.level
-    roots = _zeta_powers(m, level)
-    terms = [(T.value_exponents[T.character_index[chi]], v) for chi, v in vec.values.items()]
-    coeffs = []
-    for i in range(len(T.elements)):
-        acc = CyclotomicNumber.rational(0, level)
-        for exps, v in terms:
-            # chi(s^-1) = zeta_m^(-e)
-            acc = acc + roots[-exps[i] % m] * v
-        coeffs.append(_demote(acc * Fraction(1, G.order)))
-    return GroupRingElement._dense(G, coeffs)
+    G, T = vec.group, group_tables(vec.group)
+    exps = [T.value_exponents[T.character_index[chi]] for chi in vec.values]
+    rows = [[-e[i] for e in exps] for i in range(G.order)]  # chi(s^-1) = zeta_m^(-e)
+    _, values = _character_sums(G.exponent, vec.level, list(vec.values.values()), rows, G.order)
+    return GroupRingElement._dense(G, [_demote(v) for v in values])
 
 
 def try_invert(gamma: GroupRingElement) -> GroupRingElement:

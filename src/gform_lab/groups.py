@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import linalg
+from .arith import as_int
 from .record import Record
 
 DEFAULT_ENUMERATION_BOUND = 10_000
@@ -36,7 +37,7 @@ class FiniteAbelianGroup(Record):
     __slots__ = ("invariant_factors",)
 
     def __init__(self, invariant_factors: tuple[int, ...] = ()):
-        facs = tuple(int(d) for d in invariant_factors)
+        facs = tuple(as_int(d) for d in invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
         for d in facs:
             if d < 2:

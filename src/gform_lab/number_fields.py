@@ -70,6 +70,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .arith import (
+    as_int,
     discrete_log_table,
     divisors,
     euler_phi,
@@ -341,7 +342,7 @@ class FractionalIdeal:
     def __init__(self, field: PeriodField, num_rows, den: int = 1):
         if den <= 0:
             raise ValueError("denominator must be positive")
-        rows = linalg.hnf([[int(x) for x in row] for row in num_rows])
+        rows = linalg.hnf([[as_int(x) for x in row] for row in num_rows])
         if len(rows) != field.degree:
             raise ValueError("ideal basis does not have full rank")
         g = den

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .arith import euler_phi, unit_group_generators, units_mod
+from .arith import as_int, euler_phi, unit_group_generators, units_mod
 from .cyclotomic import CyclotomicNumber
 from .groups import (
     Character,
@@ -55,7 +55,7 @@ class DualLatticeElement(Record):
 
     def __init__(self, group: FiniteAbelianGroup, coeffs: tuple[int, ...]):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_int(c) for c in coeffs))
         if len(self.coeffs) != group.order:
             raise ValueError("coefficient vector does not match the dual group size")
 

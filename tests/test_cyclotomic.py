@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from gform_lab.arith import euler_phi
+from gform_lab.arith import euler_phi, subgroup_closure
 
 from gform_lab.cyclotomic import (
     CyclotomicNumber,
@@ -127,6 +127,28 @@ def test_trace_linearity_and_invariance_randomized():
         t = trace_to_subfield(a * q + b, [2])  # <2> = (Z/9)^x
         assert t == trace_to_subfield(a, [2]) * q + trace_to_subfield(b, [2])
         assert t.galois(2) == t
+
+
+def _reference_trace_to_subfield(x, subgroup_generators):
+    """The trace as a sum of Galois conjugates, one CyclotomicNumber
+    addition each: the oracle for `trace_to_subfield`."""
+    acc = Q(0, x.level)
+    for k in sorted(subgroup_closure(tuple(subgroup_generators), x.level)):
+        acc = acc + x.galois(k if x.level > 1 else 1)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 12, 13, 15, 21, 63, 91])
+def test_trace_to_subfield_matches_the_sum_of_conjugates(n):
+    rng = random.Random(n)
+    units = [k for k in range(1, n) if gcd(k, n) == 1] or [1]
+    for _ in range(12):
+        x = CyclotomicNumber(n, [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
+                                 for _ in range(euler_phi(n))])
+        gens = rng.sample(units, rng.randint(0, min(2, len(units))))
+        got, expected = trace_to_subfield(x, gens), _reference_trace_to_subfield(x, gens)
+        assert (got.level, got.num, got.den) == (expected.level, expected.num, expected.den)
+        assert got.to_json() == expected.to_json()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,23 @@ def test_verify_rejects_tampered_witnesses():
     assert abs(linalg.det([list(r) for r in unit.orbit_matrix])) == 1
     assert form.pair(unit.coords, unit.coords) == 3
     assert not unit.verify()
+
+
+def test_gform_rejects_non_integral_action_entries():
+    # int() would truncate every entry plus 1/3 back to the standard form
+    std = standard_form(C3)
+    shifted = {s: [[Fraction(1, 3) + x for x in row] for row in m] for s, m in std.actions.items()}
+    # the first entry of M_e is 1 + 1/3
+    with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(4, 3\)"):
+        GForm(C3, std.gram, shifted)
+
+
+def test_isometry_witness_rejects_non_integral_coordinates():
+    # int() would truncate 1/2 to 0 and give the zero candidate
+    std = standard_form(C3)
+    with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(1, 2\)"):
+        IsometryWitness.of(std, (Fraction(1, 2), 0, 0))
+    assert IsometryWitness.of(std, (Fraction(1), 0, 0)) == IsometryWitness.of(std, (1, 0, 0))
 
 
 def test_maximal_order_form_is_rejected(k7):
@@ -377,8 +395,6 @@ def test_gform_validation_on_generators_rejects_every_broken_action(G):
 
 
 def test_gform_positive_definiteness_on_controls():
-    from fractions import Fraction
-
     trivial = FiniteAbelianGroup(())
     identity = {trivial.identity(): linalg.identity_matrix(2)}
     # [[0, 1], [1, 0]] needs a row swap, after which every pivot is positive

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -6,12 +7,13 @@ from math import lcm
 import pytest
 
 from gform_lab.arith import euler_phi
-from gform_lab.cyclotomic import CyclotomicNumber, convolve
+from gform_lab.cyclotomic import CyclotomicNumber, convolve, trace_to_subfield
 from gform_lab.group_ring import (
     FourierVector,
     GroupRingElement,
     NotInvertible,
     SelfDualityClass,
+    _demote,
     _invert_by_characters,
     _invert_by_orbits,
     class_membership,
@@ -640,3 +642,98 @@ def test_both_routes_check_their_inverse_by_multiplying_back(monkeypatch):
     monkeypatch.setattr(group_ring, "_invert_by_orbits", lambda g: by_orbits(g) + 1)
     with pytest.raises(ArithmeticError, match="inverse verification"):
         try_invert(gamma)
+
+
+# -- the character transform against the term-by-term sum ----------------------
+
+C15 = FiniteAbelianGroup((15,))
+C25 = FiniteAbelianGroup((25,))
+
+
+def _reference_roots(m, level):
+    return [CyclotomicNumber.zeta(level, (level // m) * e) for e in range(m)]
+
+
+def _reference_fourier(gamma):
+    """The character transform as a sum of CyclotomicNumber products, one
+    coefficient at a time: the oracle for `fourier`."""
+    G = gamma.group
+    T = group_tables(G)
+    level = lcm(G.exponent, gamma.coefficient_level())
+    roots = _reference_roots(G.exponent, level)
+    terms = [(i, c) for i, c in enumerate(gamma._coefficients()) if c]
+    values = {}
+    for chi, exps in zip(T.characters, T.value_exponents):
+        acc = CyclotomicNumber.rational(0, level)
+        for i, c in terms:
+            acc = acc + roots[exps[i]] * c
+        values[chi] = acc
+    return FourierVector(G, level, values)
+
+
+def _reference_fourier_inverse(vec):
+    """The inverse transform as a sum of CyclotomicNumber products: the
+    oracle for `fourier_inverse`."""
+    G = vec.group
+    T = group_tables(G)
+    m = G.exponent
+    roots = _reference_roots(m, vec.level)
+    terms = [(T.value_exponents[T.character_index[chi]], v) for chi, v in vec.values.items()]
+    coeffs = []
+    for i in range(len(T.elements)):
+        acc = CyclotomicNumber.rational(0, vec.level)
+        for exps, v in terms:
+            # chi(s^-1) = zeta_m^(-e)
+            acc = acc + roots[-exps[i] % m] * v
+        coeffs.append(_demote(acc * Fraction(1, G.order)))
+    return GroupRingElement._dense(G, coeffs)
+
+
+def _assert_same_element(got, expected):
+    shapes = [[_shape(c) for c in x._coefficients()] for x in (got, expected)]
+    assert shapes[0] == shapes[1]
+    assert (got.num, got.den) == (expected.num, expected.den)
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
+
+
+@pytest.mark.parametrize("G", [C3, C7, C9, C33, C15, C25], ids=str)
+@pytest.mark.parametrize("level", [1, 3, 4, 5, 7, 12])
+def test_transforms_match_the_term_by_term_sums(G, level, monkeypatch):
+    # C25 with level-12 coefficients transforms at level 300
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "300")
+    rng = random.Random(100 * G.order + level)
+    elements = [rand_element(G, rng), rand_element(G, rng, ring="Z"), GroupRingElement.zero(G)]
+    if level > 1:
+        elements += [_rand_cyclotomic_element(G, rng, (level,)) for _ in range(2)]
+    for gamma in elements:
+        vec, expected = fourier(gamma), _reference_fourier(gamma)
+        assert vec.level == expected.level
+        assert list(vec.values) == list(expected.values)
+        for chi, v in expected.values.items():
+            assert vec[chi].level == v.level
+            assert json.dumps(vec[chi].to_json()) == json.dumps(v.to_json())
+        _assert_same_element(fourier_inverse(vec), _reference_fourier_inverse(vec))
+        # values of other levels, rationals and zeros, on some characters only
+        chosen = rng.sample(G.characters(), max(1, G.order - 1))
+        values = {chi: _rand_coefficient_at(rng, (level,)) for chi in chosen}
+        other = FourierVector(G, vec.level, values)
+        _assert_same_element(fourier_inverse(other), _reference_fourier_inverse(other))
+
+
+@pytest.mark.parametrize("G", [C3, C9, C33, C15], ids=str)
+def test_transforms_build_one_cyclotomic_number_per_value_and_no_product(G):
+    built = {CyclotomicNumber.__init__.__code__, CyclotomicNumber._raw.__func__.__code__}
+    arithmetic = {CyclotomicNumber.__mul__.__code__, CyclotomicNumber.__add__.__code__,
+                  CyclotomicNumber.galois.__code__}
+    rng = random.Random(47)
+    for gamma in (rand_element(G, rng), _rand_cyclotomic_element(G, rng, (4,))):
+        vec = fourier(gamma)
+        for call in (lambda: fourier(gamma), lambda: fourier_inverse(vec)):
+            assert _constructions(call, built) == G.order
+            assert _constructions(call, arithmetic) == 0
+        # the counters do see the term-by-term sums
+        assert _constructions(lambda: _reference_fourier(gamma), arithmetic) > 0
+    x = CyclotomicNumber(63, [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(36)])
+    for gens in ([2], [5], [2, 62], []):
+        assert _constructions(lambda: trace_to_subfield(x, gens), built) == 1
+        assert _constructions(lambda: trace_to_subfield(x, gens), arithmetic) == 0

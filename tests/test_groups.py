@@ -1,3 +1,5 @@
+import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -23,6 +25,14 @@ def test_group_validation():
         FiniteAbelianGroup((1,))
     with pytest.raises(GroupSpecError):
         FiniteAbelianGroup((3, 5))  # 3 does not divide 5
+
+
+def test_group_rejects_non_integral_invariant_factors():
+    # int() would truncate both to 3
+    for d in (3.9, Fraction(7, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {d!r}")):
+            FiniteAbelianGroup((d,))
+    assert FiniteAbelianGroup((3.0, Fraction(9))) == FiniteAbelianGroup((3, 9))
 
 
 def test_from_spec():

@@ -9,6 +9,7 @@ from gform_lab import linalg
 from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius, units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.gforms import find_self_dual_generator, gform_from_A
+from gform_lab.suites import sieve_conductors
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
     FieldConstructionError,
@@ -195,6 +196,32 @@ def test_ideal_arithmetic_basics(k7):
     assert L.is_integral() and L != O  # a proper ideal of the maximal order
     # totally ramified primes are Galois stable
     assert FractionalIdeal(k7, [k7.sigma_coords(row) for row in L.num], L.den) == L
+
+
+def test_fractional_ideal_rejects_non_integral_rows(k7):
+    # int() would truncate 3/2 to 1 and give O
+    with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(3, 2\)"):
+        FractionalIdeal(k7, [[Fraction(3, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    rows = [[Fraction(7), 0, 0], [0, 7, 0], [0, 0, 7]]
+    assert FractionalIdeal(k7, rows, 7) == k7.maximal_order()
+
+
+def test_every_named_ideal_is_an_o_module():
+    """I * O == I for O, each P, R, the different, A, dual(O) and the
+    inverse different, on every admissible field of degree 3, 5 and 7 up to
+    conductor 200; a lattice that is not an ideal fails it, as
+    `test_a_radical_that_is_not_an_ideal_is_refused` shows."""
+    fields = 0
+    for p in (3, 5, 7):
+        for f in sieve_conductors(p, 200):
+            K = build_field(p, f)
+            O, d = K.maximal_order(), different(K)
+            named = [O, *(prime_above(K, ell) for ell in K.ramified_primes), nf._sum_kernel(K, f),
+                     d, sqrt_inverse_different(K), dual_lattice(O), d.inverse()]
+            for I in named:
+                assert I * O == I, (p, f, I)
+            fields += 1
+    assert fields == 39
 
 
 def test_composite_field(k7, k13, k91):

@@ -644,3 +644,9 @@ def test_equivariant_map_is_index_keyed(monkeypatch):
         EquivariantMap(C9, values, acting_generators=(2,))
     with pytest.raises(ValueError, match="need 9 values"):
         EquivariantMap(C9, values[:8])
+
+
+def test_dual_lattice_element_rejects_non_integral_coefficients():
+    # int() would truncate 1/2 to 0 and give (0, 0, 1)
+    with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(1, 2\)"):
+        DualLatticeElement(C3, [Fraction(1, 2), 0, 1])

@@ -202,6 +202,18 @@ def test_cli_selfdual_search():
     assert len(doc["witness_coords"]) == 3
 
 
+def test_cli_selfdual_skips_both_fourier_checks_at_the_level_cap():
+    # the witness search runs at level 67; the resolvents and the
+    # factorization check would need level 201, so both are skipped
+    proc = run_cli("selfdual", "search", "--conductor", "67", "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["witness_coords"]) == 3 and doc["gram_check"] is True
+    assert doc["fourier_resolvents"] == {
+        "skipped": "level 201 exceeds cap 200 (set GFORM_LAB_MAX_LEVEL)"}
+    assert doc["checks"]["factorization"] is None and doc["checks"]["branch_witness"] is None
+
+
 def test_cli_compose():
     proc = run_cli("compose", "--conductors", "7,13", "--json")
     assert proc.returncode == 0
