@@ -30,10 +30,10 @@ print("<chi, sigma> =", pairing_char(chi, sigma))
 
 psi = DualLatticeElement(G, (0, 3, 0))  # 3*chi
 print("\nimage of 3*chi:", stickelberger_map(psi).coeffs, " (sigma - sigma^2)")
-print("integral?", integrality_check(psi, propcheck=True))
+print("integral?", integrality_check(psi))
 psi_bad = DualLatticeElement(G, (0, 1, 0))
 print("image of chi alone:", stickelberger_map(psi_bad).coeffs)
-print("integral?", integrality_check(psi_bad, propcheck=True))
+print("integral?", integrality_check(psi_bad))
 
 print("\nkernel basis (canonical HNF rows):")
 for b in det_kernel_basis(G):

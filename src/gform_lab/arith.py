@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 def as_int(x) -> int:
@@ -13,6 +13,13 @@ def as_int(x) -> int:
     if n != x:
         raise ValueError(f"expected an integer, got {x!r}")
     return n
+
+
+def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Ints or Fractions as integer numerators over the lcm of their
+    denominators, in lowest terms: gcd(den, *nums) == 1."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 def is_prime(n: int) -> bool:

@@ -50,7 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import divisors, euler_phi, is_prime, moebius, primitive_root, subgroup_closure
+from .arith import (as_int, divisors, euler_phi, is_prime, moebius, over_common_denominator,
+                    primitive_root, subgroup_closure)
 from . import linalg
 
 DEFAULT_MAX_LEVEL = 200
@@ -62,7 +63,11 @@ class LevelBoundError(ValueError):
 
 
 def max_level() -> int:
-    raw = os.environ.get(MAX_LEVEL_ENV)
+    return _parse_max_level(os.environ.get(MAX_LEVEL_ENV))
+
+
+@lru_cache(maxsize=None)  # a raise is not cached: a malformed value raises on every call
+def _parse_max_level(raw: str | None) -> int:
     if not raw:
         return DEFAULT_MAX_LEVEL
     try:
@@ -344,10 +349,9 @@ class CyclotomicNumber:
             raise ValueError(
                 f"need {euler_phi(level)} coefficients at level {level}, got {len(cs)}"
             )
-        # the lcm of reduced denominators leaves no common factor with den
-        den = lcm(*(c.denominator for c in cs))
+        num, den = over_common_denominator(cs)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
@@ -522,7 +526,7 @@ class CyclotomicNumber:
         return self.inverse() * other
 
     def __pow__(self, e: int):
-        e = int(e)
+        e = as_int(e)
         if e < 0:
             return self.inverse() ** (-e)
         result = CyclotomicNumber.rational(1, self.level)

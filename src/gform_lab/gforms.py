@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
-from .arith import as_int
+from .arith import as_int, over_common_denominator
 from .groups import FiniteAbelianGroup, GroupElement
 from .number_fields import (
     FractionalIdeal,
@@ -56,9 +55,9 @@ class GForm:
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.rank = len(self.gram)
         # the Gram as integer numerators over their lcm, for all exact work
-        self._gram_den = den = lcm(*(x.denominator for row in self.gram for x in row))
-        self._gram_num = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                               for row in self.gram)
+        flat, self._gram_den = over_common_denominator([x for row in self.gram for x in row])
+        nums = iter(flat)
+        self._gram_num = tuple(tuple(next(nums) for _ in row) for row in self.gram)
         self.actions = {s: tuple(tuple(as_int(x) for x in row) for row in m)
                         for s, m in actions.items()}
         self.label = label or f"form of rank {self.rank} over {group}"
@@ -68,7 +67,7 @@ class GForm:
         self.basis_den = basis_den
         self._validate()
         # one elimination of the Gram per form, read by every determinant test
-        self._determinant = linalg.det(self._gram_num) / den ** self.rank
+        self._determinant = linalg.det(self._gram_num) / self._gram_den ** self.rank
 
     def _validate(self):
         """Check that the Gram is square and symmetric and that the actions
@@ -240,7 +239,7 @@ def witness_element(form: GForm, witness: IsometryWitness) -> AlgebraElement:
         raise ValueError("form does not carry number-field provenance")
     # coords . basis_num are the period coordinates over basis_den
     num = linalg.mat_vec(linalg.transpose(form.basis_num), witness.coords)
-    return AlgebraElement(form.hom, form.field.element(num, form.basis_den))
+    return AlgebraElement._from_coordinates(form.hom, num, form.basis_den)
 
 
 def self_dual_generator(
@@ -260,12 +259,9 @@ def self_dual_generator(
 def _orbit_spans(a: AlgebraElement, lattice: FractionalIdeal) -> bool:
     """Whether the group orbit of a spans the fractional ideal (two-sided HNF
     equality)."""
-    K = a.hom.field
-    coords_list = [K.sigma_coords(a.coords, a.hom.galois_power(s)) for s in a.group.elements()]
-    dens = lcm(*(c.denominator for coords in coords_list for c in coords))
-    rows = [[int(c * dens) for c in coords] for coords in coords_list]
+    rows = [a._moved(s) for s in a.group.elements()]
     try:
-        span = FractionalIdeal(K, rows, dens)
+        span = FractionalIdeal(a.hom.field, rows, a.den)
     except ValueError:
         return False  # orbit does not have full rank
     return span == lattice

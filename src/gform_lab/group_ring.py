@@ -42,7 +42,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .arith import euler_phi
+from .arith import as_int, euler_phi, over_common_denominator
 from .cyclotomic import (CyclotomicNumber, _adjugate, _check_level, _place, _reduce,
                          _scaled_terms, _trace_table, convolve)
 from .groups import Character, FiniteAbelianGroup, GroupElement, GroupSpecError, group_tables
@@ -72,9 +72,8 @@ def _normal_form(values) -> tuple:
     out = [0 if isinstance(c, CyclotomicNumber) and c.is_zero() else c for c in values]
     if any(isinstance(c, CyclotomicNumber) for c in out):
         return None, None, tuple(Fraction(c) if isinstance(c, int) else c for c in out)
-    # the lcm of reduced denominators leaves no common factor with den
-    den = lcm(*(c.denominator for c in out))
-    return tuple(c.numerator * (den // c.denominator) for c in out), den, None
+    num, den = over_common_denominator(out)
+    return num, den, None
 
 
 class GroupRingElement:
@@ -228,7 +227,7 @@ class GroupRingElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        e = int(e)
+        e = as_int(e)
         if e < 0:
             return try_invert(self) ** (-e)
         result = GroupRingElement.one(self.group)

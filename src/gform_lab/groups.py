@@ -129,7 +129,8 @@ class GroupElement(Record):
         )
 
     def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(e * int(k) for e in self.exponents))
+        k = as_int(k)
+        return GroupElement(self.group, tuple(e * k for e in self.exponents))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-e for e in self.exponents))
@@ -161,7 +162,8 @@ class Character(Record):
         )
 
     def __pow__(self, k: int) -> "Character":
-        return Character(self.group, tuple(a * int(k) for a in self.exponents))
+        k = as_int(k)
+        return Character(self.group, tuple(a * k for a in self.exponents))
 
     def inverse(self) -> "Character":
         return Character(self.group, tuple(-a for a in self.exponents))

@@ -37,6 +37,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
+from .arith import over_common_denominator
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) >= 0 and g = a*x + b*y."""
@@ -197,8 +199,7 @@ def _eliminate(mat, ncols: int):
             for x in row:
                 if not isinstance(x, (int, Fraction)):
                     raise TypeError(f"linalg eliminates over Q only, got a {type(x).__name__} entry")
-            den = lcm(*(x.denominator for x in row))
-            row = [x.numerator * (den // x.denominator) for x in row]
+            row, den = over_common_denominator(row)
             d *= den
         a.append(list(row))
     m = len(a)
@@ -310,8 +311,9 @@ def _definite_minors(gram):
     positive definite, which by Sylvester's criterion is every D_i > 0; a row
     swap means some D_i = 0."""
     n = len(gram)
-    L = lcm(*(x.denominator for row in gram for x in row))
-    rows = [[x.numerator * (L // x.denominator) for x in row] for row in gram]
+    flat, L = over_common_denominator([x for row in gram for x in row])
+    nums = iter(flat)
+    rows = [[next(nums) for _ in row] for row in gram]
     u, pivots, _, swaps = _eliminate(rows, n)
     if swaps or len(pivots) < n or any(u[i][i] <= 0 for i in range(n)):
         return None

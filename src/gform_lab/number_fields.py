@@ -42,8 +42,8 @@ conductor, generator, character) in a process, so a field requested again,
 directly or as the composite of `compose_fields`, is the same object, and
 its tables and certificates are built once. The default character of each
 (degree, conductor) and its default generator are resolved once too. Like
-`group_tables`, both stores are unbounded. The level cap is checked on
-every request, before the lookup.
+`group_tables`, both stores are unbounded. A field builds no cyclotomic
+value, so no level cap applies to it.
 
 Each field keeps one memo of its ideal layer, filled on first use and shared
 by every caller of the interned field: the prime P over each ramified ell,
@@ -64,7 +64,7 @@ failed check raises and leaves nothing in the memo.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -78,10 +78,11 @@ from .arith import (
     is_prime,
     is_squarefree,
     moebius,
+    over_common_denominator,
     primitive_root,
     units_mod,
 )
-from .cyclotomic import CyclotomicNumber, _check_level, _trace_table
+from .cyclotomic import CyclotomicNumber, _trace_table
 from .groups import FiniteAbelianGroup, GroupElement
 from .record import Record
 
@@ -192,8 +193,7 @@ class PeriodField:
         inverse of `coordinates`. eta_t is the indicator of the coset
         {x unit : chi(x) = t}, so the exponent vector is coords[chi(x)] at
         each unit x."""
-        scale = lcm(*(c.denominator for c in coords))
-        num = [c.numerator * (scale // c.denominator) for c in coords]
+        num, scale = over_common_denominator(coords)
         raw = [0] * self.conductor
         for x, t in self.character.items():
             raw[x] = num[t]
@@ -214,13 +214,8 @@ class PeriodField:
             raise ValueError("value does not lie in the period field")
         return tuple(Fraction(c, den) for c in w)
 
-    def sigma(self, x: CyclotomicNumber, power: int = 1) -> CyclotomicNumber:
-        """The chosen Galois generator (restriction of zeta -> zeta^g)."""
-        k = pow(self.generator, power % self.degree, self.conductor)
-        return x.raise_level(self.conductor).galois(k)
-
     def sigma_coords(self, coords, power: int = 1):
-        """sigma permutes the periods cyclically: index j -> j + power."""
+        """sigma^power, sigma: zeta_f -> zeta_f^g, shifts the periods: j -> j + power."""
         p = self.degree
         power %= p
         return tuple(coords[(j - power) % p] for j in range(p))
@@ -325,8 +320,6 @@ def build_field(degree: int, conductor: int, generator: int | None = None,
         default_generator, items = _resolve_character(p, character)
     # a generator and its residue mod f give the same cosets, hence one field
     generator = default_generator if generator is None else generator % f
-    # the cap holds on a hit too, so no call's outcome depends on earlier ones
-    _check_level(f)
     key = (p, f, generator, items)
     if key not in _FIELDS:
         _FIELDS[key] = PeriodField(p, f, character, generator)
@@ -406,7 +399,7 @@ class FractionalIdeal:
         return _span_products(self.field, self.num, self.den, other)
 
     def __pow__(self, e: int) -> "FractionalIdeal":
-        e = int(e)
+        e = as_int(e)
         if e < 0:
             return self.inverse() ** (-e)
         result = None

@@ -2,29 +2,28 @@
 group, inverse and product laws, and the prime-by-prime factorization check
 of resolvent ratios.
 
-An algebra element is a field element alpha of a period field K carried by an
-identification h of Gal(K/Q) with a cyclic group G; its function table is
-s -> sigma^(a(s))(alpha) and its resolvend is the group-ring element
-sum_s a(s) s^{-1} over Q(zeta_f). The degenerate split algebra (trivial h) is
-supported through the indicator of the identity, whose resolvend is 1.
+An algebra element is a field element alpha of a period field K, in period
+coordinates, carried by an identification h of Gal(K/Q) with a cyclic group
+G; its function table s -> sigma^(h^-1(s))(alpha) shifts the coordinates and
+its resolvend is sum_s a(s) s^{-1} over Q(zeta_f). The split algebra (trivial
+h) is supported through the indicator of the identity, whose resolvend is 1.
 
 The resolvend identity r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1} has a
 cyclotomic side and a rational one. The left side is a group-ring product,
 one packed convolution (`cyclotomic.convolve`). The right side, the trace
-table, is read off the period coordinates an element keeps from its
-membership check and the integer trace Gram of the field, which was verified
-against the cyclotomic trace when the field was built: it takes no
-cyclotomic product and no Galois conjugate. `is_self_dual` decides by both
-sides, which must agree.
+table, is read off the period coordinates and the integer trace Gram of the
+field, which was verified against the cyclotomic trace when the field was
+built: it takes no cyclotomic product and no Galois conjugate.
+`is_self_dual` decides by both sides, which must agree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
-from .arith import is_prime
+from .arith import is_prime, over_common_denominator
 from .cyclotomic import CyclotomicNumber
 from .group_ring import (
     GroupRingElement,
@@ -39,35 +38,44 @@ from .stickelberger import EquivariantMap, det_kernel_basis, transpose_value
 
 
 class AlgebraElement:
-    """Element of the G-Galois algebra attached to a hom h, stored as the
-    underlying field element alpha with its period coordinates `coords`
-    (None for the split algebra); `split_identity` gives the
-    identity-indicator of the split algebra (h trivial)."""
+    """Element of the G-Galois algebra attached to a hom h: the period
+    coordinates of alpha as integers `num` over one `den` > 0, in lowest terms
+    (one coordinate, the value, for the split algebra); `split_identity` gives
+    the identity-indicator of the split algebra (h trivial)."""
 
-    __slots__ = ("hom", "alpha", "coords", "_group")
+    __slots__ = ("hom", "group", "num", "den")
 
     def __init__(self, hom: HomToG | None, alpha, group: FiniteAbelianGroup | None = None):
         self.hom = hom
         if hom is None:
             if group is None:
                 raise ValueError("the split algebra needs an explicit group")
-            self._group = group
-            self.alpha = Fraction(alpha)
-            self.coords = None
+            self.group = group
+            q = Fraction(alpha)
+            self.num, self.den = (q.numerator,), q.denominator
         else:
-            self._group = hom.group
+            self.group = hom.group
             a = alpha if isinstance(alpha, CyclotomicNumber) else CyclotomicNumber.rational(alpha, 1)
-            a = a.raise_level(hom.field.conductor)
-            self.coords = hom.field.coordinates(a)  # also the membership check
-            self.alpha = a
+            # also the membership check
+            self.num, self.den = over_common_denominator(hom.field.coordinates(a))
+
+    @classmethod
+    def _from_coordinates(cls, hom: HomToG, num, den: int) -> "AlgebraElement":
+        """hom's element with integer period coordinates num over den > 0."""
+        g = gcd(den, *num)
+        out = cls.__new__(cls)
+        out.hom, out.group = hom, hom.group
+        out.num, out.den = tuple(x // g for x in num), den // g
+        return out
 
     @classmethod
     def split_identity(cls, group: FiniteAbelianGroup) -> "AlgebraElement":
         return cls(None, 1, group=group)
 
     @property
-    def group(self) -> FiniteAbelianGroup:
-        return self._group
+    def alpha(self):
+        """The field element, the value at the identity."""
+        return self.value_at(self.group.identity())
 
     @property
     def is_split(self) -> bool:
@@ -76,15 +84,19 @@ class AlgebraElement:
     def value_at(self, s: GroupElement):
         """The function-table value a(s)."""
         if self.is_split:
-            return self.alpha if s.is_identity else Fraction(0)
-        return self.hom.field.sigma(self.alpha, self.hom.galois_power(s))
+            return Fraction(self.num[0] if s.is_identity else 0, self.den)
+        return self.hom.field.element(self._moved(s), self.den)
+
+    def _moved(self, s: GroupElement) -> tuple[int, ...]:
+        """The numerators of sigma^j(alpha), j = h^-1(s)."""
+        return self.hom.field.sigma_coords(self.num, self.hom.galois_power(s))
 
     def act(self, s: GroupElement) -> "AlgebraElement":
         """The group action (s . a)(t) = a(ts); for field algebras this is the
         Galois translate of alpha."""
         if self.is_split:
             raise NotImplementedError("group translates of split elements are not stored")
-        return AlgebraElement(self.hom, self.value_at(s))
+        return AlgebraElement._from_coordinates(self.hom, self._moved(s), self.den)
 
     def _same_algebra(self, other: "AlgebraElement") -> None:
         if self.is_split and other.is_split:
@@ -97,11 +109,9 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.is_split != other.is_split:
-            return False
-        if self.is_split:
-            return self.group == other.group and self.alpha == other.alpha
-        return self.hom == other.hom and self.alpha == other.alpha
+        # a split element has hom None, which equals no HomToG
+        return ((self.hom, self.group, self.num, self.den)
+                == (other.hom, other.group, other.num, other.den))
 
     __hash__ = None
 
@@ -144,21 +154,12 @@ def _trace_table(a: AlgebraElement, b: AlgebraElement) -> GroupRingElement:
     if a.is_split:
         return GroupRingElement(G, {s.inverse(): Fraction(a.value_at(s) * b.alpha)
                                     for s in G.elements()})
-    K, T = a.hom.field, group_tables(G)
-    x, x_den = _integer_vector(a.coords)
-    y, y_den = _integer_vector(b.coords)
-    gram_y = linalg.mat_vec(K.gram, y)
+    T = group_tables(G)
+    gram_y = linalg.mat_vec(a.hom.field.gram, b.num)
     num = [0] * G.order
     for i, s in enumerate(T.elements):
-        moved = K.sigma_coords(x, a.hom.galois_power(s))
-        num[T.inverse[i]] = sum(u * v for u, v in zip(moved, gram_y))
-    return GroupRingElement._rational(G, num, x_den * y_den)
-
-
-def _integer_vector(coords) -> tuple[list[int], int]:
-    """Fraction coordinates as integer numerators over their lcm denominator."""
-    den = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
+        num[T.inverse[i]] = sum(u * v for u, v in zip(a._moved(s), gram_y))
+    return GroupRingElement._rational(G, num, a.den * b.den)
 
 
 def resolvend_pairing_identity(a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -311,7 +312,7 @@ def stickelberger_factorization_check(
         acc = CyclotomicNumber.rational(1, 1)
         for chi, n in zip(G.characters(), psi.coeffs):
             if n:
-                acc = acc * values[chi] ** int(n)
+                acc = acc * values[chi] ** n
         resolvent_on_basis.append(acc)
 
     if branch is not None:

@@ -68,7 +68,8 @@ class DualLatticeElement(Record):
         return DualLatticeElement(self.group, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k: int) -> "DualLatticeElement":
-        return DualLatticeElement(self.group, tuple(int(k) * a for a in self.coeffs))
+        k = as_int(k)
+        return DualLatticeElement(self.group, tuple(k * a for a in self.coeffs))
 
     def det(self) -> Character:
         """prod chi^{n_chi} in the dual group."""
@@ -170,16 +171,9 @@ def det_kernel_basis(group: FiniteAbelianGroup) -> list[DualLatticeElement]:
     return [DualLatticeElement(group, row) for row in group_tables(group).kernel_basis]
 
 
-def integrality_check(psi: DualLatticeElement, propcheck: bool = False) -> bool:
-    """Whether the Stickelberger image of psi is integral. With propcheck=True
-    the equivalence with det(psi) = 1 is asserted as well."""
-    integral = stickelberger_map(psi).is_integral()
-    if propcheck:
-        if integral != psi.det().is_trivial:
-            raise AssertionError(
-                f"integrality/kernel equivalence fails at {psi.coeffs}"
-            )
-    return integral
+def integrality_check(psi: DualLatticeElement) -> bool:
+    """Whether the Stickelberger image of psi is integral."""
+    return stickelberger_map(psi).is_integral()
 
 
 class IntegralityCertificate(Record):
@@ -277,7 +271,7 @@ class EquivariantMap:
         self.values = tuple(v.raise_level(level) for v in vals)
         m = group.exponent
         self.modulus = lcm(m, level)
-        self.acting_generators = tuple(int(u) % self.modulus for u in acting_generators)
+        self.acting_generators = tuple(as_int(u) % self.modulus for u in acting_generators)
         for s, v in zip(T.elements, self.values):
             if v.is_zero():
                 raise ValueError(f"map vanishes at {s}")
@@ -332,10 +326,10 @@ class EquivariantMap:
         return cls(group, values, acting_generators=unit_group_generators(lcm(m, o)))
 
     @classmethod
-    def random_map(cls, group: FiniteAbelianGroup, rng, span: int = 4) -> "EquivariantMap":
+    def random_map(cls, group: FiniteAbelianGroup, rng) -> "EquivariantMap":
         """Random unit-valued equivariant map for the full residue group: pick
-        a nonzero value in Q(zeta_|s|) on one representative per twist orbit
-        and propagate along the orbit."""
+        a nonzero value in Q(zeta_|s|) with coefficients in [-4, 4] on one
+        representative per twist orbit and propagate along the orbit."""
         m = group.exponent
         T = group_tables(group)
         units = units_mod(m) if m > 1 else [1]
@@ -346,7 +340,7 @@ class EquivariantMap:
             o = s.order()
             while True:
                 x = CyclotomicNumber(
-                    o, [Fraction(rng.randrange(-span, span + 1)) for _ in range(euler_phi(o))]
+                    o, [Fraction(rng.randrange(-4, 5)) for _ in range(euler_phi(o))]
                 )
                 if not x.is_zero():
                     break
@@ -402,7 +396,7 @@ def equivariance_check(group: FiniteAbelianGroup, acting_generators) -> bool:
     basis = det_kernel_basis(group)
     m = group.exponent
     for k in acting_generators:
-        k = int(k) % m if m > 1 else 1
+        k = as_int(k) % m if m > 1 else 1
         if m > 1 and gcd(k, m) != 1:
             raise ValueError(f"{k} is not a unit mod {m}")
         for psi in basis:

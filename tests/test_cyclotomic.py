@@ -81,9 +81,39 @@ def test_level_cap(monkeypatch):
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
 def test_level_cap_rejects_malformed_value(monkeypatch, raw):
     monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", raw)
-    with pytest.raises(ValueError, match=f"GFORM_LAB_MAX_LEVEL.*{raw!r}") as info:
-        Z(7)
-    assert not isinstance(info.value, LevelBoundError)
+    for _ in range(2):  # a malformed setting is never cached
+        with pytest.raises(ValueError, match=f"GFORM_LAB_MAX_LEVEL.*{raw!r}") as info:
+            Z(7)
+        assert not isinstance(info.value, LevelBoundError)
+
+
+def test_level_cap_is_parsed_once_per_setting(monkeypatch):
+    from gform_lab.cyclotomic import _parse_max_level, max_level
+
+    _parse_max_level.cache_clear()
+    parses = lambda: _parse_max_level.cache_info().misses  # noqa: E731
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "120")
+    for _ in range(100):
+        assert max_level() == 120
+        Z(7) * Z(7)
+    assert parses() == 1
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "60")
+    with pytest.raises(LevelBoundError, match="level 91 exceeds cap 60"):
+        Z(91)
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "120")
+    assert max_level() == 120
+    assert parses() == 2
+    monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "abc")
+    for count in (3, 4):
+        with pytest.raises(ValueError):
+            max_level()
+        assert parses() == count
+
+
+def test_power_rejects_a_non_integral_exponent():
+    with pytest.raises(ValueError, match="expected an integer"):
+        Z(7) ** 2.5
+    assert Z(7) ** 2.0 == Z(7) ** Fraction(4, 2) == Z(7, 2)
 
 
 def test_galois_action():

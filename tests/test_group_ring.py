@@ -737,3 +737,11 @@ def test_transforms_build_one_cyclotomic_number_per_value_and_no_product(G):
     for gens in ([2], [5], [2, 62], []):
         assert _constructions(lambda: trace_to_subfield(x, gens), built) == 1
         assert _constructions(lambda: trace_to_subfield(x, gens), arithmetic) == 0
+
+
+def test_power_rejects_a_non_integral_exponent():
+    s = GroupRingElement.from_element(C3.element((1,)))
+    gamma = 1 + s - s * s
+    with pytest.raises(ValueError, match="expected an integer"):
+        gamma ** 1.5
+    assert gamma ** 2.0 == gamma * gamma

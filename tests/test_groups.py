@@ -204,3 +204,13 @@ def test_group_tables_orbits_partition_the_characters(facs):
         covered += members
     assert sorted(covered) == list(range(G.order))
     assert [rep for rep, _ in T.orbits] == sorted(rep for rep, _ in T.orbits)
+
+
+def test_powers_reject_a_non_integral_exponent():
+    G = FiniteAbelianGroup((9,))
+    s, chi = G.element((1,)), G.character((1,))
+    with pytest.raises(ValueError, match="expected an integer"):
+        s ** Fraction(3, 2)
+    with pytest.raises(ValueError, match="expected an integer"):
+        chi ** 1.5
+    assert s ** Fraction(4, 2) == s * s and chi ** 2.0 == chi * chi

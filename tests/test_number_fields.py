@@ -8,7 +8,7 @@ import gform_lab.number_fields as nf
 from gform_lab import linalg
 from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius, units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
-from gform_lab.gforms import find_self_dual_generator, gform_from_A
+from gform_lab.gforms import gform_from_A, self_dual_generator
 from gform_lab.suites import sieve_conductors
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
@@ -25,6 +25,13 @@ from gform_lab.number_fields import (
 )
 
 Z = CyclotomicNumber.zeta
+
+
+def sigma(K, x, power=1):
+    """sigma^power(x) for the Galois generator of K, the restriction of
+    zeta_f -> zeta_f^g, on a Q(zeta_f) value: the reference for
+    `sigma_coords`."""
+    return x.raise_level(K.conductor).galois(pow(K.generator, power % K.degree, K.conductor))
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +63,7 @@ def test_conductor7_gram_against_bruteforce(k7):
     def tr(x):
         acc = CyclotomicNumber.rational(0, 7)
         for j in range(3):
-            acc = acc + k7.sigma(x, j)
+            acc = acc + sigma(k7, x, j)
         return acc.to_rational()
 
     for i in range(3):
@@ -95,7 +102,7 @@ def test_degree5_conductor11():
 
 def test_sigma_permutes_periods(k7):
     for j in range(3):
-        assert k7.sigma(k7.periods[j]) == k7.periods[(j + 1) % 3]
+        assert sigma(k7, k7.periods[j]) == k7.periods[(j + 1) % 3]
     # coordinate action matches
     assert k7.sigma_coords((1, 2, 3)) == (3, 1, 2)
 
@@ -376,7 +383,7 @@ def test_period_minimal_polynomial_matches_sympy(p, f):
 
     K = build_field(p, f)
     mu = moebius(f)
-    conjugates = [K.coordinates(K.sigma(K.periods[0], i)) for i in range(p)]
+    conjugates = [K.coordinates(sigma(K, K.periods[0], i)) for i in range(p)]
     poly = [[mu] * p]  # ascending powers of x
     for eta in conjugates:
         shifted = [[0] * p] + poly
@@ -468,14 +475,29 @@ def test_failed_ideal_checks_store_nothing(monkeypatch):
 
 def test_level_cap_holds_on_a_cache_hit(monkeypatch):
     from gform_lab.cyclotomic import LevelBoundError
+    from gform_lab.resolvends import AlgebraElement, resolvend
 
     K = build_field(3, 91)
-    assert build_field(3, 91) is K
+    a = AlgebraElement(HomToG.standard(K), K.element([1, -2, 4]))
     monkeypatch.setenv("GFORM_LAB_MAX_LEVEL", "50")
-    with pytest.raises(LevelBoundError):
-        build_field(3, 91)
-    with pytest.raises(LevelBoundError):
-        compose_fields(build_field(3, 7), build_field(3, 13))
+    # the field layer builds no cyclotomic value, so the cap binds only the
+    # calls that do, whatever ran before them
+    fields = {
+        "build": lambda: build_field(3, 91),
+        "compose": lambda: compose_fields(build_field(3, 7), build_field(3, 13)),
+    }
+    values = {
+        "element": lambda: K.element([1, 0, 0]),
+        "periods": lambda: K.periods,
+        "resolvend": lambda: resolvend(a),
+    }
+    for order in itertools.permutations({**fields, **values}):
+        for name in order:
+            if name in fields:
+                assert fields[name]() is K
+            else:
+                with pytest.raises(LevelBoundError, match="level 91 exceeds cap 50"):
+                    values[name]()
 
 
 def test_shared_field_character_is_read_only(k7, k13, k91):
@@ -727,8 +749,10 @@ def test_field_and_hilbert_ideals_make_no_cyclotomic_product(monkeypatch):
 
 
 def test_field_ideal_and_form_layers_make_no_cyclotomic_value(monkeypatch):
-    # from a fresh field to the self-dual search on its A-form, every step
-    # runs on integers: no CyclotomicNumber is constructed
+    # from a fresh field to the self-dual generator of its A-form and that
+    # generator's algebra element, every step runs on integers: no
+    # CyclotomicNumber is constructed, so no level cap applies, even at
+    # conductors above the default cap of 200
     monkeypatch.setattr(nf, "_FIELDS", {})
     made = []
 
@@ -743,9 +767,16 @@ def test_field_ideal_and_form_layers_make_no_cyclotomic_value(monkeypatch):
         monkeypatch.setattr(CyclotomicNumber, name, staticmethod(spy(name, original)))
     monkeypatch.setattr(CyclotomicNumber, "__init__",
                         spy("__init__", CyclotomicNumber.__init__))
-    for p, f in [(3, 7), (5, 11), (3, 91), (7, 29), (3, 133)]:
+    for p, f in [(3, 7), (5, 11), (3, 91), (7, 29), (3, 133), (3, 211), (5, 211), (7, 239)]:
         K = build_field(p, f)
         different(K)
         sqrt_inverse_different(K)
-        find_self_dual_generator(gform_from_A(K))
+        self_dual_generator(K)
     assert made == []
+
+
+def test_ideal_power_rejects_a_non_integral_exponent(k7):
+    P = prime_above(k7, 7)
+    with pytest.raises(ValueError, match="expected an integer"):
+        P ** 1.5
+    assert P ** 2.0 == P * P

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gform_lab import linalg
 from gform_lab.arith import units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.group_ring import (
@@ -28,8 +29,11 @@ from gform_lab.resolvends import (
     resolvend_pairing_identity,
     resolvent_values,
 )
+from gform_lab.suites import sieve_conductors
 
 C3 = FiniteAbelianGroup((3,))
+# every admissible field of degree 3, 5 and 7 with conductor at most 200
+SMALL_FIELDS = [(p, f) for p in (3, 5, 7) for f in sieve_conductors(p, 200)]
 
 
 @pytest.fixture(scope="module")
@@ -348,11 +352,19 @@ def test_trace_table_route_matches_the_character_route(p, f, monkeypatch):
 # -- the trace table from the integer Gram ---------------------------------------
 
 
+def _galois_conjugate(a, s):
+    """a(s) = sigma^j(alpha), j = h^-1(s), conjugated in Q(zeta_f) without
+    `sigma_coords`: the reference for `value_at`."""
+    K = a.hom.field
+    return a.alpha.galois(pow(K.generator, a.hom.galois_power(s), K.conductor))
+
+
 def _trace_table_by_definition(a, b):
     """sum_s Tr((s.a) b) s^-1 through the cyclotomic trace."""
     K = a.hom.field
     return GroupRingElement(
-        a.group, {s.inverse(): K.trace(a.value_at(s) * b.alpha) for s in a.group.elements()})
+        a.group, {s.inverse(): K.trace(_galois_conjugate(a, s) * b.alpha)
+                  for s in a.group.elements()})
 
 
 @pytest.mark.parametrize("p, f", [(3, 7), (3, 13), (3, 91), (3, 133), (5, 11), (5, 31)])
@@ -388,3 +400,36 @@ def test_trace_table_takes_no_cyclotomic_product_or_conjugate(monkeypatch):
     # the counters are live: the definition multiplies and conjugates
     assert table == _trace_table_by_definition(a, b)
     assert {"__mul__", "galois"} <= set(calls)
+
+
+# -- period coordinates against the cyclotomic route ---------------------------
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS)
+def test_value_at_and_resolvend_are_the_galois_conjugates(p, f):
+    K = build_field(p, f)
+    G = FiniteAbelianGroup((p,))
+    rng = random.Random(p * f)
+    for u in (1, p - 1):
+        hom = HomToG(K, G, G.element((u,)))
+        coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(p)]
+        for alpha in (K.periods[0], K.element(coords)):
+            a = AlgebraElement(hom, alpha)
+            assert a.alpha == alpha
+            conjugates = {s: _galois_conjugate(a, s) for s in G.elements()}
+            for s, value in conjugates.items():
+                assert a.value_at(s) == value, (u, s)
+                assert a.act(s) == AlgebraElement(hom, value), (u, s)
+            assert resolvend(a) == GroupRingElement(
+                G, {s.inverse(): value for s, value in conjugates.items()})
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS)
+def test_witness_element_is_the_element_of_its_coordinates(p, f):
+    K = build_field(p, f)
+    G = FiniteAbelianGroup((p,))
+    for u in range(1, p):
+        hom = HomToG(K, G, G.element((u,)))
+        w, a = self_dual_generator(K, hom)
+        num = linalg.mat_vec(linalg.transpose(w.form.basis_num), w.coords)
+        assert a == AlgebraElement(hom, K.element(num, w.form.basis_den)), u

@@ -174,7 +174,7 @@ def test_det_kernel_basis_c3():
     for target in [(1, 0, 0), (0, 1, 1), (0, 3, 0)]:
         psi = dual(C3, target)
         assert psi.det().is_trivial
-        assert integrality_check(psi, propcheck=True)
+        assert integrality_check(psi) == psi.det().is_trivial
 
 
 def test_det_kernel_trivial_group():
@@ -195,9 +195,9 @@ def test_det_kernel_index_is_group_order(facs):
 
 
 def test_integrality_examples():
-    assert integrality_check(dual(C3, (0, 1, 1)), propcheck=True)
-    assert not integrality_check(dual(C3, (0, 1, 0)), propcheck=True)
-    assert integrality_check(dual(C3, (1, 0, 0)), propcheck=True)
+    for coeffs, integral in [((0, 1, 1), True), ((0, 1, 0), False), ((1, 0, 0), True)]:
+        psi = dual(C3, coeffs)
+        assert integrality_check(psi) == psi.det().is_trivial == integral
 
 
 def numpy_oracle(G):
@@ -650,3 +650,21 @@ def test_dual_lattice_element_rejects_non_integral_coefficients():
     # int() would truncate 1/2 to 0 and give (0, 0, 1)
     with pytest.raises(ValueError, match=r"expected an integer, got Fraction\(1, 2\)"):
         DualLatticeElement(C3, [Fraction(1, 2), 0, 1])
+
+
+def test_scaling_rejects_a_non_integral_scalar():
+    psi = DualLatticeElement(C3, (1, 0, 1))
+    # int() would truncate 1/2 to 0 and give (0, 0, 0)
+    with pytest.raises(ValueError, match="expected an integer"):
+        Fraction(1, 2) * psi
+    assert (2.0 * psi).coeffs == (2, 0, 2)
+
+
+def test_acting_residues_must_be_integers():
+    # int() would truncate 2.5 to the generator 2 of (Z/9)^x
+    with pytest.raises(ValueError, match="expected an integer"):
+        EquivariantMap(C9, [1] * 9, acting_generators=(2.5,))
+    with pytest.raises(ValueError, match="expected an integer"):
+        equivariance_check(C9, (2.5,))
+    assert EquivariantMap(C9, [1] * 9, acting_generators=(2.0,)).acting_generators == (2,)
+    assert equivariance_check(C9, (Fraction(4, 2),))
