@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def as_int(x) -> int:
@@ -22,18 +22,52 @@ def over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
+# the first 13 primes; strong probable primality to all of them proves n
+# prime for every n below _MILLER_RABIN_LIMIT (Sorenson & Webster 2015,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86), and the
+# limit itself is a strong pseudoprime to all 13
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+_BASES_PRODUCT = prod(_MILLER_RABIN_BASES)
+_TRIAL_DIVISION_LIMIT = 1 << 20
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Exact primality: trial division below 2^20, above it the strong
+    probable-prime test to the first 13 prime bases, which is deterministic
+    below _MILLER_RABIN_LIMIT (about 3.3e24). Above that limit a base that
+    witnesses compositeness still proves n composite; otherwise it raises
+    ValueError instead of guessing."""
+    n = as_int(n)
+    if n < _TRIAL_DIVISION_LIMIT:
+        if n < 4:
+            return n > 1
+        if n % 2 == 0:
             return False
-        f += 2
+        f = 3
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    if gcd(n, _BASES_PRODUCT) != 1:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is beyond the range of the deterministic primality test")
     return True
 
 

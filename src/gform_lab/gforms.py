@@ -11,8 +11,13 @@ form is invariant and that the action matrices compose, and a unit orbit
 determinant makes the orbit a basis, so the action of the identity is the
 identity and <v.s, v.t> = <v.(s t^-1), v>: the |G| pairings give
 delta-orthonormality of the whole orbit, and the orbit spans the lattice.
-The field-side routes (`resolvends.is_self_dual` and the HNF span test of
-`is_self_dual_generator`) re-verify every witness element independently.
+Every witness element is re-verified on the field side, independently of
+the form: `resolvends.is_self_dual` compares the trace table from the
+field's integer Gram with 1 and certifies r(a) r(a)^[-1] = 1 in F_q[G]
+under the field's modular embeddings, and the HNF span test of
+`is_self_dual_generator` checks that the orbit spans A. The inverse law
+builds the inverse element on period coordinates and certifies its
+resolvend the same way, so neither step builds a value in Q(zeta_f).
 """
 
 from __future__ import annotations

@@ -100,12 +100,14 @@ class FiniteAbelianGroup(Record):
 
 
 def _reduced(group: FiniteAbelianGroup, exponents) -> tuple[int, ...]:
+    """The exponents reduced mod the invariant factors; each must be an
+    integer (`as_int`, skipped for an int, the hot case)."""
     facs = group.invariant_factors
     if len(exponents) != len(facs):
         raise GroupSpecError(
             f"exponent vector of length {len(exponents)} for rank-{len(facs)} group"
         )
-    return tuple(int(e) % d for e, d in zip(exponents, facs))
+    return tuple((e if type(e) is int else as_int(e)) % d for e, d in zip(exponents, facs))
 
 
 def _vector_order(group: FiniteAbelianGroup, exponents) -> int:

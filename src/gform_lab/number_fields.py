@@ -26,6 +26,13 @@ Tr_K(x eta_j) = Tr(x zeta_f^(c_j)), so `coordinates` takes p dot products
 with the cyclotomic trace table and applies the inverse trace Gram (the
 trace-dual basis), then requires the exact round trip back to x.
 
+Each field also memoizes one reduction modulo a prime q = 1 mod f above
+2^62 (`modular_embedding`, `ModularEmbedding`): omega of exact order f in
+F_q sends eta_t to e_t = sum of omega^x over the units x with chi(x) = t,
+and the p images eta_t -> e_(t+k) identify O_K/qO_K with F_q^p. The
+resolvend layer decides its identities there, exactly, once q exceeds twice
+a bound on the coordinates it compares.
+
 Ideals are stored as row-HNF integer matrices over the period basis with a
 single positive denominator, so equality of ideals is equality of canonical
 forms. Every product is one kernel (`_span_products`): the lattice spanned
@@ -136,6 +143,8 @@ class PeriodField:
         # over ell (`prime_above`), "hilbert" -> (different, A), a HomToG ->
         # the A-form of that identification (`gforms.gform_from_A`)
         self._ideal_memo = {}
+        # the reduction mod a split prime (`modular_embedding`), on first use
+        self._embedding = None
 
     # -- construction internals ------------------------------------------
 
@@ -171,6 +180,8 @@ class PeriodField:
                 if table[(i + 1) % p][(j + 1) % p] != self.sigma_coords(table[i][j]):
                     raise FieldConstructionError("the table does not commute with sigma")
         self.mult_table = tuple(tuple(row) for row in table)
+        # |coordinate t of x * y| <= table_bound * |x|_1 * |y|_1 for integer x, y
+        self.table_bound = max(abs(c) for row in table for entry in row for c in entry)
         self.gram = tuple(tuple(mu * sum(entry) for entry in row) for row in table)
         disc = linalg.det([list(r) for r in self.gram])
         if disc != f ** (p - 1):
@@ -239,6 +250,17 @@ class PeriodField:
             rows.append(row)
         return rows
 
+    def modular_embedding(self, bound: int = 0) -> "ModularEmbedding":
+        """The field's reduction mod a prime q with q > 2 * bound and
+        q > 2^62, certified when built (`ModularEmbedding`). One is memoized
+        per field and reused while its q is large enough; a larger bound
+        builds and memoizes one with a larger q, and a bound past the range
+        of the deterministic primality test raises ValueError."""
+        emb = self._embedding
+        if emb is None or emb.modulus <= 2 * bound:
+            emb = self._embedding = ModularEmbedding.above(self, max(2 * bound, _EMBEDDING_FLOOR))
+        return emb
+
     def maximal_order(self) -> "FractionalIdeal":
         return FractionalIdeal._canonical(self, linalg.identity_matrix(self.degree), 1)
 
@@ -257,6 +279,89 @@ class PeriodField:
 
     def __repr__(self) -> str:
         return f"PeriodField(degree={self.degree}, conductor={self.conductor})"
+
+
+# the least modulus of a field's embedding datum, so that the products of
+# typical resolvend checks stay far below it
+_EMBEDDING_FLOOR = 1 << 62
+
+
+class ModularEmbedding(Record):
+    """The p embeddings of a period field K into F_q for a prime q = 1 mod f.
+
+    zeta_f -> omega, for omega of exact order f in F_q, is a ring map
+    Z[zeta_f] -> F_q, and it sends eta_t to e_t = sum of omega^x over the
+    units x with chi(x) = t. Composed with sigma^k it sends eta_t to
+    e_(t+k); so x = sum c_t eta_t has the images phi_k(x) = sum c_t e_(t+k)
+    for k in Z/p. q = 1 mod f splits completely in Q(zeta_f) (Washington,
+    GTM 83, Thm 2.13), hence in K, and the phi_k reduce O_K modulo its p
+    primes over q: O_K/qO_K = F_q^p. So an x in O_K with every phi_k(x) = 0
+    has period coordinates divisible by q (the periods are a Z-basis of O_K
+    by the discriminant certificate), and it is 0 when they are below q/2 in
+    absolute value.
+
+    The constructor certifies all of it from integers (`above` tests the
+    primality in its search and skips the second test): q is prime by the
+    deterministic test and q = 1 mod f; omega^f = 1 and omega^(f/ell) != 1
+    for each ell | f; phi_0(1) = mu(f) * sum e_t = 1; phi_0 respects the
+    multiplication table, e_i e_j = sum_t T[i][j][t] e_t, so it is a ring
+    map on O_K and so is each phi_k, because the table commutes with sigma;
+    and sum_k e_(i+k) e_(j+k) is the trace Gram mod q, so the matrix
+    (e_(t+k)) has squared determinant f^(p-1) != 0 mod q and x -> (phi_k(x))
+    is injective mod q. Every check is exact; a failed one raises."""
+
+    __slots__ = ("modulus", "root", "periods")
+
+    def __init__(self, field: PeriodField, modulus: int, root: int):
+        if modulus % field.conductor != 1 or not is_prime(modulus):
+            raise ValueError(f"{modulus} is not a prime = 1 mod {field.conductor}")
+        self._certify(field, modulus, root)
+
+    def _certify(self, field: PeriodField, q: int, root: int) -> None:
+        """Every check but the primality of q, and the slots."""
+        p, f = field.degree, field.conductor
+        if pow(root, f, q) != 1 or any(pow(root, f // ell, q) == 1 for ell in field.ramified_primes):
+            raise ValueError(f"{root} does not have order {f} mod {q}")
+        powers = [1] * f
+        for x in range(1, f):
+            powers[x] = powers[x - 1] * root % q
+        e = [0] * p
+        for x, t in field.character.items():
+            e[t] += powers[x]
+        e = tuple(v % q for v in e)
+        if field.trace_of_period * sum(e) % q != 1:
+            raise ArithmeticError("the embedding does not send 1 to 1")
+        for i in range(p):
+            for j in range(i, p):
+                image = sum(map(mul, field.mult_table[i][j], e))
+                trace = sum(e[(i + k) % p] * e[(j + k) % p] for k in range(p))
+                if (e[i] * e[j] - image) % q or (trace - field.gram[i][j]) % q:
+                    raise ArithmeticError("the embedding does not respect the period tables")
+        object.__setattr__(self, "modulus", q)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "periods", e)
+
+    @classmethod
+    def above(cls, field: PeriodField, floor: int) -> "ModularEmbedding":
+        """The embedding at the least prime q = 1 mod f above floor, with
+        omega the first g^((q-1)/f), g = 2, 3, ..., of exact order f."""
+        f = field.conductor
+        q = floor - floor % f + 1
+        while q <= floor or not is_prime(q):
+            q += f
+        for g in range(2, q):
+            root = pow(g, (q - 1) // f, q)
+            if all(pow(root, f // ell, q) != 1 for ell in field.ramified_primes):
+                # q = 1 mod f, and the search proved it prime
+                out = cls.__new__(cls)
+                out._certify(field, q, root)
+                return out
+        raise ArithmeticError(f"no element of order {f} mod {q}")
+
+    def images(self, coords) -> list[int]:
+        """phi_m(x) mod q for m in Z/p, for x with the integer coordinates."""
+        e, q = self.periods, self.modulus
+        return [sum(map(mul, coords, e[m:] + e[:m])) % q for m in range(len(e))]
 
 
 # every field `build_field` has verified in this process, by (degree,

@@ -9,12 +9,21 @@ its resolvend is sum_s a(s) s^{-1} over Q(zeta_f). The split algebra (trivial
 h) is supported through the indicator of the identity, whose resolvend is 1.
 
 The resolvend identity r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1} has a
-cyclotomic side and a rational one. The left side is a group-ring product,
-one packed convolution (`cyclotomic.convolve`). The right side, the trace
-table, is read off the period coordinates and the integer trace Gram of the
-field, which was verified against the cyclotomic trace when the field was
-built: it takes no cyclotomic product and no Galois conjugate.
-`is_self_dual` decides by both sides, which must agree.
+side in K[G] and a rational one. The right side, the trace table, is read
+off the period coordinates and the integer trace Gram of the field, which
+was verified against the cyclotomic trace when the field was built. The
+left side is decided in F_q[G] (`_resolvend_product_is`): the field's
+`ModularEmbedding` reduces O_K modulo a prime q = 1 mod f, which splits
+completely, so O_K/qO_K = F_q^p through the p embeddings eta_t -> e_(t+k);
+the periods are a Z-basis of O_K by the discriminant certificate, and q
+exceeds twice a bound on the period coordinates of the difference of the
+two sides, so agreement under every embedding is equality in K[G].
+`is_self_dual` decides by both routes, which must agree; the pairing
+identity and the inverse law (`inverse_resolvend`, which builds the inverse
+element on period coordinates) are certified the same way, and none of the
+three builds a value in Q(zeta_f). `resolvend` itself, the products of
+`product_resolvend` and the character resolvents of the factorization check
+still run on cyclotomic coefficients.
 """
 
 from __future__ import annotations
@@ -122,11 +131,18 @@ class AlgebraElement:
 
 
 def resolvend(a: AlgebraElement) -> GroupRingElement:
-    """sum_s a(s) s^{-1} as a group-ring element with cyclotomic coefficients."""
+    """sum_s a(s) s^{-1} as a group-ring element with cyclotomic coefficients:
+    alpha is built once, and a(s) = sigma^j(alpha), j = h^-1(s), is its
+    Galois conjugate under zeta_f -> zeta_f^(g^j) for the field's generator g."""
     G = a.group
+    if a.is_split:
+        return GroupRingElement(G, {s.inverse(): a.value_at(s) for s in G.elements()})
+    K = a.hom.field
+    alpha = a.alpha
     coeffs = {}
     for s in G.elements():
-        coeffs[s.inverse()] = a.value_at(s)
+        j = a.hom.galois_power(s)
+        coeffs[s.inverse()] = alpha.galois(pow(K.generator, j, K.conductor)) if j else alpha
     return GroupRingElement(G, coeffs)
 
 
@@ -162,23 +178,78 @@ def _trace_table(a: AlgebraElement, b: AlgebraElement) -> GroupRingElement:
     return GroupRingElement._rational(G, num, a.den * b.den)
 
 
+def _resolvend_product_is(a: AlgebraElement, b: AlgebraElement, target: GroupRingElement,
+                          involute: bool) -> bool:
+    """Whether r(a) r(b)^[-1] (involute) or r(a) r(b) is the rational
+    group-ring element target. Split elements multiply their rational
+    resolvends in QG. Elements of field algebras over one field and one
+    group (the identifications may differ) are decided exactly in F_q[G]
+    under each of the p embeddings phi_k of `ModularEmbedding`.
+
+    With a = x/da and b = y/db on integer period coordinates and
+    target = t/dt, the coefficient at u of dt (da db (left - target)) is an
+    element X_u of O_K, and phi_k(X_u) is its image mod q, computed from
+    phi_k(sigma^m x) = sum_t x_t e_(t+k+m). Each coordinate of a product of
+    integer x' and y' is at most table_bound |x'|_1 |y'|_1, so the
+    coordinates of X_u are at most
+    B = dt |G| table_bound |x|_1 |y|_1 + max|t| da db. The embedding is
+    taken with q > 2B (`PeriodField.modular_embedding` takes a larger q or
+    raises), so phi_k(X_u) = 0 for every k exactly when X_u = 0."""
+    if a.is_split:
+        rb = resolvend(b)
+        return resolvend(a) * (rb.involute() if involute else rb) == target
+    K, G = a.hom.field, a.group
+    if b.is_split or b.hom.field is not K or b.group != G:
+        raise ValueError("elements live over different fields or groups")
+    p = K.degree
+    bound = (target.den * G.order * K.table_bound * sum(map(abs, a.num)) * sum(map(abs, b.num))
+             + max(map(abs, target.num)) * a.den * b.den)
+    emb = K.modular_embedding(bound)
+    q = emb.modulus
+    xs, ys = emb.images(a.num), emb.images(b.num)
+    T = group_tables(G)
+    ja = [a.hom.galois_power(s) for s in T.elements]
+    jb = [b.hom.galois_power(s) for s in T.elements]
+    # where a(s) and b(s) sit: at s^-1 in r(a) and r(b), at s in r(b)^[-1]
+    at_a, at_b = T.inverse, (range(len(jb)) if involute else T.inverse)
+    rhs = [c * a.den * b.den for c in target.num]
+    for k in range(p):
+        # the integer convolution of GroupRingElement.__mul__, on residues
+        acc = [0] * len(rhs)
+        yk = [(l, ys[(k + j) % p]) for l, j in zip(at_b, jb)]
+        for i, j in zip(at_a, ja):
+            x, row = xs[(k + j) % p], T.prod[i]
+            for l, y in yk:
+                acc[row[l]] += x * y
+        if any((c * target.den - r) % q for c, r in zip(acc, rhs)):
+            return False
+    return True
+
+
 def resolvend_pairing_identity(a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Exact check of r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1}."""
+    """Exact check of r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1}. The right
+    side is the trace table from the integer Gram (`_trace_table`). In a
+    field algebra the left side is decided in F_q[G] under the p embeddings
+    of the field (`_resolvend_product_is`): q splits completely, the periods
+    are a Z-basis of O_K, and q exceeds twice a bound on the period
+    coordinates of the difference, so equality mod q under every embedding
+    is equality in K[G]. The split algebra multiplies its rational
+    resolvends."""
     a._same_algebra(b)
-    lhs = resolvend(a) * resolvend(b).involute()
-    return lhs.demoted() == _trace_table(a, b)
+    return _resolvend_product_is(a, b, _trace_table(a, b), involute=True)
 
 
 def is_self_dual(a: AlgebraElement) -> bool:
     """Self-duality of a for the trace form, decided by two independent
     routes that must agree: the Gram route compares the trace table
     sum_s Tr((s.a) a) s^{-1} with 1, that is Tr((s.a) a) = delta(s), and the
-    resolvend route checks r(a) r(a)^[-1] = 1 in the group ring. Raises
-    AssertionError when they disagree."""
+    resolvend route checks r(a) r(a)^[-1] = 1, in F_q[G] under the p
+    embeddings of the field (`_resolvend_product_is`, exact by the splitting
+    of q, the Z-basis of periods and the bound q > 2B), or in QG for the
+    split algebra. Raises AssertionError when they disagree."""
     one = GroupRingElement.one(a.group)
     by_gram = _trace_table(a, a) == one
-    r = resolvend(a)
-    by_resolvend = r * r.involute() == one
+    by_resolvend = _resolvend_product_is(a, a, one, involute=True)
     if by_gram != by_resolvend:
         raise AssertionError("gram and resolvend self-duality routes disagree")
     return by_gram
@@ -196,16 +267,26 @@ def _with_resolvend(hom: HomToG, r: GroupRingElement) -> AlgebraElement:
 def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
     """The element of the inverse-identified algebra whose resolvend is the
     inverse of the resolvend r(a). By the pairing identity r(a) r(a)^[-1] is
-    the rational trace table T(a), so r(a)^-1 = r(a)^[-1] T(a)^-1 and only T
-    is inverted, in QG; the product with r(a) is verified to be 1. Raises
-    NotInvertible when r(a), equivalently T(a), is not invertible."""
+    the rational trace table T(a), so r(a)^-1 = r(a)^[-1] t for t = T(a)^-1,
+    and only T is inverted, in QG. The value at the identity of
+    r(a)^[-1] t is alpha' = sum_g t_(g^-1) sigma^j(g)(alpha), built on
+    period coordinates; r(a) r(alpha') = 1 is then certified in F_q[G] under
+    the p embeddings of the field (`_resolvend_product_is`, exact by the
+    splitting of q, the Z-basis of periods and the bound q > 2B), which
+    proves that alpha' has the inverse resolvend. Raises NotInvertible when
+    r(a), equivalently T(a), is not invertible."""
     if a.is_split:
         return a
-    r = resolvend(a)
-    r_inv = r.involute() * try_invert(_trace_table(a, a))
-    if not (r * r_inv == GroupRingElement.one(a.group)):
+    t = try_invert(_trace_table(a, a))
+    num = [0] * len(a.num)
+    # the involute of t has t_(g^-1) at g
+    for g, c in zip(a.group.elements(), t.involute().num):
+        if c:
+            num = [x + c * y for x, y in zip(num, a._moved(g))]
+    out = AlgebraElement._from_coordinates(a.hom.inverse_hom(), num, a.den * t.den)
+    if not _resolvend_product_is(a, out, GroupRingElement.one(a.group), involute=False):
         raise ArithmeticError("resolvend inverse verification failed")
-    return _with_resolvend(a.hom.inverse_hom(), r_inv)
+    return out
 
 
 def product_resolvend(a1: AlgebraElement, a2: AlgebraElement) -> AlgebraElement:

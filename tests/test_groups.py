@@ -214,3 +214,15 @@ def test_powers_reject_a_non_integral_exponent():
     with pytest.raises(ValueError, match="expected an integer"):
         chi ** 1.5
     assert s ** Fraction(4, 2) == s * s and chi ** 2.0 == chi * chi
+
+
+def test_elements_and_characters_reject_non_integral_exponents():
+    # int() would truncate 3/2 to 1 and 2.7 to 2
+    G = FiniteAbelianGroup((3,))
+    for e in (Fraction(3, 2), 2.7):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {e!r}")):
+            G.element((e,))
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {e!r}")):
+            G.character((e,))
+    assert G.element((Fraction(4),)) == G.element((1,)) and G.element((2.0,)) == G.element((2,))
+    assert G.character((5.0,)) == G.character((2,))

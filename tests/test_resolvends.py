@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gform_lab import linalg
+from gform_lab import number_fields as nf
 from gform_lab.arith import units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
 from gform_lab.group_ring import (
@@ -13,11 +15,12 @@ from gform_lab.group_ring import (
     invert_by_linear_solve,
     try_invert,
 )
-from gform_lab.gforms import self_dual_generator
+from gform_lab.gforms import self_dual_generator, verify_inverse_law
 from gform_lab.groups import FiniteAbelianGroup, group_tables
-from gform_lab.number_fields import HomToG, build_field
+from gform_lab.number_fields import HomToG, ModularEmbedding, build_field
 from gform_lab.resolvends import (
     AlgebraElement,
+    _resolvend_product_is,
     _trace_table,
     ReducedResolvend,
     inverse_resolvend,
@@ -433,3 +436,205 @@ def test_witness_element_is_the_element_of_its_coordinates(p, f):
         w, a = self_dual_generator(K, hom)
         num = linalg.mat_vec(linalg.transpose(w.form.basis_num), w.coords)
         assert a == AlgebraElement(hom, K.element(num, w.form.basis_den)), u
+
+
+# -- resolvend products certified in F_q against Q(zeta_f) ----------------------
+
+# every admissible field of degree 3 and 5 with conductor at most 200; the
+# composites 91 and 133 are among them
+CERTIFIED_FIELDS = [(p, f) for p in (3, 5) for f in sieve_conductors(p, 200)]
+
+
+def _inverse_by_cyclotomic_products(a):
+    """The Q(zeta_f) construction of the inverse element: r(a)^[-1] T(a)^-1,
+    multiplied back against r(a), read off at the identity and its resolvend
+    recomputed."""
+    r = resolvend(a)
+    r_inv = r.involute() * try_invert(_trace_table(a, a))
+    assert r * r_inv == GroupRingElement.one(a.group)
+    out = AlgebraElement(a.hom.inverse_hom(), r_inv.coefficient(a.group.identity()))
+    assert resolvend(out) == r_inv
+    return out
+
+
+def _random_coordinates(hom, rng):
+    p = hom.field.degree
+    return AlgebraElement._from_coordinates(
+        hom, [rng.randint(-9, 9) for _ in range(p)], rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("p, f", CERTIFIED_FIELDS)
+def test_certified_resolvend_products_match_the_cyclotomic_route(p, f):
+    K = build_field(p, f)
+    G = FiniteAbelianGroup((p,))
+    one = GroupRingElement.one(G)
+    rng = random.Random(7 * f + p)
+    emb = K.modular_embedding()
+    assert sympy.isprime(emb.modulus) and emb.modulus % f == 1
+    assert sympy.n_order(emb.root, emb.modulus) == f
+    # e_t is eta_t reduced at zeta_f -> omega
+    for t, eta in enumerate(K.periods):
+        raw = sum(c * pow(emb.root, i, emb.modulus) for i, c in enumerate(eta.num))
+        assert (raw - eta.den * emb.periods[t]) % emb.modulus == 0
+    for u in (1, p - 1):
+        hom = HomToG(K, G, G.element((u,)))
+        elements = [self_dual_generator(K, hom)[1]]
+        elements += [_random_coordinates(hom, rng) for _ in range(3)]
+        for a in elements:
+            for b in elements[:2]:
+                left = (resolvend(a) * resolvend(b).involute()).demoted()
+                assert left.is_rational()
+                assert _resolvend_product_is(a, b, left, involute=True)
+                assert not _resolvend_product_is(a, b, left + one, involute=True)
+                assert resolvend_pairing_identity(a, b)
+            assert is_self_dual(a) == (resolvend(a) * resolvend(a).involute() == one)
+            if not is_normal_basis_generator(a):
+                with pytest.raises(NotInvertible):
+                    inverse_resolvend(a)
+                continue
+            a_inv = inverse_resolvend(a)
+            assert a_inv == _inverse_by_cyclotomic_products(a)
+            for s in G.elements():
+                moved = a_inv.act(s)
+                left = (resolvend(a) * resolvend(moved)).demoted()
+                assert left.is_rational() and not left.is_zero()
+                assert _resolvend_product_is(a, moved, left, involute=False)
+                assert _resolvend_product_is(a, moved, one, involute=False) == (left == one)
+            # r(a) r(c) is a rational trace table for c in the inverse
+            # algebra, and not rational for c in the same algebra
+            c = _random_coordinates(hom.inverse_hom(), rng)
+            left = (resolvend(a) * resolvend(c)).demoted()
+            assert _resolvend_product_is(a, c, left, involute=False)
+            assert not _resolvend_product_is(a, c, left + one, involute=False)
+            c = _random_coordinates(hom, rng)
+            assert not (resolvend(a) * resolvend(c)).demoted().is_rational()
+            assert not _resolvend_product_is(a, c, one, involute=False)
+
+
+def test_pairing_identity_fails_on_a_wrong_trace_table(k7, h7, monkeypatch):
+    import gform_lab.resolvends as rsv
+
+    rng = random.Random(12)
+    pairs = [(rand_element(h7, rng), rand_element(h7, rng)) for _ in range(5)]
+    tables = {id(a): _trace_table(a, b) for a, b in pairs}
+    assert all(resolvend_pairing_identity(a, b) for a, b in pairs)
+    one = GroupRingElement.one(C3)
+    monkeypatch.setattr(rsv, "_trace_table", lambda a, b: tables[id(a)] + one)
+    assert not any(resolvend_pairing_identity(a, b) for a, b in pairs)
+    monkeypatch.setattr(rsv, "_trace_table", lambda a, b: one)
+    assert not any(resolvend_pairing_identity(a, b) for a, b in pairs)
+
+
+def test_an_undersized_modulus_is_replaced_and_an_unprovable_one_raises(monkeypatch):
+    K = build_field(3, 13)
+    hom = HomToG.standard(K)
+    small = ModularEmbedding.above(K, 1 << 16)
+    q = small.modulus
+    monkeypatch.setattr(K, "_embedding", small)
+    rng = random.Random(13)
+    a = AlgebraElement._from_coordinates(hom, [rng.randint(-3, 3) for _ in range(3)], 1)
+    b = AlgebraElement._from_coordinates(hom, [rng.randint(-3, 3) for _ in range(3)], 1)
+    table = _trace_table(a, b)
+    assert table.den == 1
+    assert _resolvend_product_is(a, b, table, involute=True)
+    assert K._embedding is small  # the operands' bound is below q / 2
+    # table + q agrees with the left side mod the small q at every embedding,
+    # and its own size raises the bound past q / 2
+    shifted = table + GroupRingElement.scalar(C3, q)
+    assert not _resolvend_product_is(a, b, shifted, involute=True)
+    assert K._embedding.modulus > 2 * q
+    assert _resolvend_product_is(a, b, table, involute=True)
+    # a bound past the proven range of the primality test raises
+    huge = AlgebraElement._from_coordinates(hom, [2**45, 1, -(2**45)], 1)
+    kept = K._embedding
+    with pytest.raises(ValueError, match="beyond the range"):
+        is_self_dual(huge)
+    assert K._embedding is kept
+
+
+def test_one_embedding_is_not_enough(monkeypatch):
+    # under a small certified q, r(a) r(c) for a and c in one algebra is not
+    # rational, yet its image under phi_0 (zeta_f -> omega) is that of a
+    # small rational target; only the other embeddings tell them apart
+    K = build_field(3, 7)
+    hom = HomToG.standard(K)
+    small = ModularEmbedding.above(K, 1 << 16)
+    q, omega = small.modulus, small.root
+    monkeypatch.setattr(K, "_embedding", small)
+    rng = random.Random(15)
+    checked = 0
+    while checked < 5:
+        a, c = (AlgebraElement._from_coordinates(hom, [rng.randint(-2, 2) for _ in range(3)], 1)
+                for _ in range(2))
+        left = (resolvend(a) * resolvend(c)).demoted()
+        assert not left.is_rational()
+        residues = {}
+        for s, value in left.coeffs.items():
+            raw = sum(x * pow(omega, i, q) for i, x in enumerate(value.num))
+            r = raw * pow(value.den, -1, q) % q
+            residues[s] = r if r <= q // 2 else r - q
+        operands = 3 * K.table_bound * sum(map(abs, a.num)) * sum(map(abs, c.num))
+        if 2 * (operands + max(map(abs, residues.values()))) >= q:
+            continue  # the target is too large for the small q
+        target = GroupRingElement(C3, residues)
+        assert not _resolvend_product_is(a, c, target, involute=False)
+        assert K._embedding is small
+        checked += 1
+
+
+def test_modular_embedding_rejects_bad_data():
+    K = build_field(3, 91)
+    emb = K.modular_embedding()
+    q, root = emb.modulus, emb.root
+    assert ModularEmbedding(K, q, root) == emb
+    # orders 13, 7 and 2 * 91 instead of 91
+    for wrong in (pow(root, 7, q), pow(root, 13, q), q - root):
+        with pytest.raises(ValueError, match="does not have order 91"):
+            ModularEmbedding(K, q, wrong)
+    for modulus in (q + 2, 1 + 91 * 3, 2**31 - 1):  # composite or not 1 mod 91
+        with pytest.raises(ValueError, match="not a prime = 1 mod 91"):
+            ModularEmbedding(K, modulus, root)
+    # a table the periods do not satisfy
+    fake = type("Fake", (), {name: getattr(K, name) for name in (
+        "degree", "conductor", "character", "ramified_primes", "trace_of_period", "gram")})()
+    fake.mult_table = tuple(tuple(reversed(row)) for row in K.mult_table)
+    with pytest.raises(ArithmeticError, match="period tables"):
+        ModularEmbedding(fake, q, root)
+    # a Gram the periods do not satisfy
+    fake.mult_table = K.mult_table
+    assert ModularEmbedding(fake, q, root).periods == emb.periods
+    fake.gram = tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(K.gram))
+    with pytest.raises(ArithmeticError, match="period tables"):
+        ModularEmbedding(fake, q, root)
+
+
+def test_resolvend_checks_build_no_cyclotomic_number(monkeypatch):
+    # from fresh fields to the verdicts of is_self_dual, the pairing identity
+    # and the inverse law, no CyclotomicNumber is constructed
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    made = []
+
+    def spy(name, original):
+        def counting(*args, **kwargs):
+            made.append(name)
+            return original(*args, **kwargs)
+        return counting
+
+    for name in ("_raw", "from_powers"):
+        original = getattr(CyclotomicNumber, name)
+        monkeypatch.setattr(CyclotomicNumber, name, staticmethod(spy(name, original)))
+    monkeypatch.setattr(CyclotomicNumber, "__init__",
+                        spy("__init__", CyclotomicNumber.__init__))
+    rng = random.Random(14)
+    for p, f in [(3, 7), (3, 91), (5, 11)]:
+        K = build_field(p, f)
+        hom = HomToG.standard(K)
+        a, b = _random_coordinates(hom, rng), _random_coordinates(hom, rng)
+        _, w = self_dual_generator(K)
+        assert is_self_dual(w) and not is_self_dual(a)
+        assert resolvend_pairing_identity(a, b)
+        assert verify_inverse_law(K)
+    assert made == []
+    # the counters are live: the cyclotomic route builds values
+    resolvend(a)
+    assert made
