@@ -15,9 +15,9 @@ Every witness element is re-verified on the field side, independently of
 the form: `resolvends.is_self_dual` compares the trace table from the
 field's integer Gram with 1 and certifies r(a) r(a)^[-1] = 1 in F_q[G]
 under the field's modular embeddings, and the HNF span test of
-`is_self_dual_generator` checks that the orbit spans A. The inverse law
-builds the inverse element on period coordinates and certifies its
-resolvend the same way, so neither step builds a value in Q(zeta_f).
+`is_self_dual_generator` checks that the orbit spans A. The inverse and
+product laws build their elements on period coordinates and certify their
+resolvends exactly, so no step builds a value in Q(zeta_f).
 """
 
 from __future__ import annotations

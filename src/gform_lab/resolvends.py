@@ -20,10 +20,10 @@ exceeds twice a bound on the period coordinates of the difference of the
 two sides, so agreement under every embedding is equality in K[G].
 `is_self_dual` decides by both routes, which must agree; the pairing
 identity and the inverse law (`inverse_resolvend`, which builds the inverse
-element on period coordinates) are certified the same way, and none of the
-three builds a value in Q(zeta_f). `resolvend` itself, the products of
-`product_resolvend` and the character resolvents of the factorization check
-still run on cyclotomic coefficients.
+element on period coordinates) are certified the same way, and
+`product_resolvend` reads its product off the tensor basis of the compositum
+and certifies it in integers. None of the four builds a value in Q(zeta_f);
+only `resolvend` and the factorization check run on cyclotomic coefficients.
 """
 
 from __future__ import annotations
@@ -228,13 +228,9 @@ def _resolvend_product_is(a: AlgebraElement, b: AlgebraElement, target: GroupRin
 
 def resolvend_pairing_identity(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Exact check of r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1}. The right
-    side is the trace table from the integer Gram (`_trace_table`). In a
-    field algebra the left side is decided in F_q[G] under the p embeddings
-    of the field (`_resolvend_product_is`): q splits completely, the periods
-    are a Z-basis of O_K, and q exceeds twice a bound on the period
-    coordinates of the difference, so equality mod q under every embedding
-    is equality in K[G]. The split algebra multiplies its rational
-    resolvends."""
+    side is the trace table from the integer Gram (`_trace_table`); the left
+    side is decided exactly in F_q[G] (`_resolvend_product_is`), or in QG
+    for the split algebra."""
     a._same_algebra(b)
     return _resolvend_product_is(a, b, _trace_table(a, b), involute=True)
 
@@ -243,10 +239,9 @@ def is_self_dual(a: AlgebraElement) -> bool:
     """Self-duality of a for the trace form, decided by two independent
     routes that must agree: the Gram route compares the trace table
     sum_s Tr((s.a) a) s^{-1} with 1, that is Tr((s.a) a) = delta(s), and the
-    resolvend route checks r(a) r(a)^[-1] = 1, in F_q[G] under the p
-    embeddings of the field (`_resolvend_product_is`, exact by the splitting
-    of q, the Z-basis of periods and the bound q > 2B), or in QG for the
-    split algebra. Raises AssertionError when they disagree."""
+    resolvend route checks r(a) r(a)^[-1] = 1, exactly in F_q[G]
+    (`_resolvend_product_is`), or in QG for the split algebra. Raises
+    AssertionError when they disagree."""
     one = GroupRingElement.one(a.group)
     by_gram = _trace_table(a, a) == one
     by_resolvend = _resolvend_product_is(a, a, one, involute=True)
@@ -255,28 +250,21 @@ def is_self_dual(a: AlgebraElement) -> bool:
     return by_gram
 
 
-def _with_resolvend(hom: HomToG, r: GroupRingElement) -> AlgebraElement:
-    """The element of hom's algebra whose resolvend is r: its value at the
-    identity, verified by recomputing the resolvend exactly."""
-    out = AlgebraElement(hom, r.coefficient(hom.group.identity()))
-    if resolvend(out) != r:
-        raise ArithmeticError("resolvend does not define an algebra element")
-    return out
-
-
 def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
     """The element of the inverse-identified algebra whose resolvend is the
     inverse of the resolvend r(a). By the pairing identity r(a) r(a)^[-1] is
     the rational trace table T(a), so r(a)^-1 = r(a)^[-1] t for t = T(a)^-1,
     and only T is inverted, in QG. The value at the identity of
     r(a)^[-1] t is alpha' = sum_g t_(g^-1) sigma^j(g)(alpha), built on
-    period coordinates; r(a) r(alpha') = 1 is then certified in F_q[G] under
-    the p embeddings of the field (`_resolvend_product_is`, exact by the
-    splitting of q, the Z-basis of periods and the bound q > 2B), which
-    proves that alpha' has the inverse resolvend. Raises NotInvertible when
-    r(a), equivalently T(a), is not invertible."""
+    period coordinates; r(a) r(alpha') = 1 is then certified exactly in
+    F_q[G] (`_resolvend_product_is`), which proves that alpha' has the
+    inverse resolvend. A split c has the inverse 1/c. Raises NotInvertible
+    when r(a), equivalently T(a), is not invertible."""
     if a.is_split:
-        return a
+        if not a.num[0]:
+            raise NotInvertible("the split zero has no inverse")
+        inverse = AlgebraElement(None, Fraction(a.den, a.num[0]), group=a.group)
+        return a if inverse == a else inverse
     t = try_invert(_trace_table(a, a))
     num = [0] * len(a.num)
     # the involute of t has t_(g^-1) at g
@@ -291,17 +279,48 @@ def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
 
 def product_resolvend(a1: AlgebraElement, a2: AlgebraElement) -> AlgebraElement:
     """The element of the product-identified algebra whose resolvend is
-    r(a1) r(a2); the two conductors must be coprime."""
-    if a1.group != a2.group:
+    r(a1) r(a2), for coprime conductors; a split factor c has resolvend c.
+    K12 is cut out by u1 chi1 + u2 chi2, (u1, u2) = `product_weights`. The
+    eta1_a eta2_b are a Q-basis of K1K2 (Washington, GTM 83, ch. 3-4); by the
+    CRT each is a sum of zeta_f^(f2 y1 + f1 y2), chi1(y1) = a, chi2(y2) = b,
+    in the coset t = u1 (a + c1) + u2 (b + c2) of K12, c1 = chi1(f2),
+    c2 = chi2(f1), so eta12_t is the sum over line t. For a1 = x/d1 and
+    a2 = y/d2 the coefficient of r(a1) r(a2) at s^-1, sum_r a1(r) a2(r^-1 s),
+    has the tensor coordinates sum_r x_(a - j1(r)) y_(b - j2(r^-1 s)) over
+    d1 d2 (j = `galois_power`). Certificate, in integers: the lines are the
+    cosets of K12 at the CRT points, and for every s these coordinates are
+    the line lift of sigma12^(j12(s))(alpha12), which fixes alpha12 and
+    checks h12 = h1 h2; else ArithmeticError. No Q(zeta_f) value is built."""
+    G = a1.group
+    if G != a2.group:
         raise ValueError("elements carry different groups")
-    if a1.is_split:
-        return a2
-    if a2.is_split:
-        return a1
-    weights = a1.hom.product_weights(a2.hom)
-    composite = compose_fields(a1.hom.field, a2.hom.field, weights=weights)
-    h12 = HomToG(composite, a1.group, a1.group.element((1,)))
-    return _with_resolvend(h12, resolvend(a1) * resolvend(a2))
+    if a1.is_split or a2.is_split:
+        c, a = (a1, a2) if a1.is_split else (a2, a1)
+        if c == AlgebraElement.split_identity(G):
+            return a
+        (n,), d = c.num, c.den
+        if a.is_split:
+            return AlgebraElement(None, Fraction(n * a.num[0], d * a.den), group=G)
+        return AlgebraElement._from_coordinates(a.hom, [n * x for x in a.num], d * a.den)
+    K1, K2 = a1.hom.field, a2.hom.field
+    u1, u2 = a1.hom.product_weights(a2.hom)
+    K12 = compose_fields(K1, K2, weights=(u1, u2))
+    p, f1, f2 = K12.degree, K1.conductor, K2.conductor
+    c1, c2 = K1.character[f2 % f1], K2.character[f1 % f2]
+    line = [(u1 * (a + c1) + u2 * (b + c2)) % p for a in range(p) for b in range(p)]
+    if line != [K12.character[(f2 * y1 + f1 * y2) % (f1 * f2)]
+                for y1 in K1.cosets for y2 in K2.cosets]:
+        raise ArithmeticError("the lines are not the cosets of the composite")
+    h12, num = HomToG(K12, G, G.element((1,))), {}
+    for s in G.elements():
+        moved = [(a1._moved(r), a2._moved(r.inverse() * s)) for r in G.elements()]
+        tensor = [sum(x[a] * y[b] for x, y in moved) for a in range(p) for b in range(p)]
+        # sigma12^j(alpha12) lifts to alpha12_(t - j) on line t
+        j = h12.galois_power(s)
+        for c, t in zip(tensor, line):
+            if num.setdefault((t - j) % p, c) != c:
+                raise ArithmeticError("resolvend product is not an element of the composite")
+    return AlgebraElement._from_coordinates(h12, [num[t] for t in range(p)], a1.den * a2.den)
 
 
 class ReducedResolvend:

@@ -404,3 +404,12 @@ def test_gform_positive_definiteness_on_controls():
                   identity)
     assert linalg._definite_minors(third.gram) is not None
     assert third.pair((1, 0), (1, 1)) == 1 and third.determinant() == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("p, f1, f2", [(3, 7, 31), (3, 13, 19), (5, 11, 31), (7, 29, 43)])
+def test_the_product_law_holds_above_the_level_cap(p, f1, f2, monkeypatch):
+    # the composites have level 217, 247, 341 and 1247, above the default cap
+    # of 200; the product law builds no value in Q(zeta_(f1 f2))
+    monkeypatch.delenv("GFORM_LAB_MAX_LEVEL", raising=False)
+    assert f1 * f2 > 200
+    assert verify_weak_multiplicativity(build_field(p, f1), build_field(p, f2))

@@ -15,7 +15,7 @@ from gform_lab.group_ring import (
     invert_by_linear_solve,
     try_invert,
 )
-from gform_lab.gforms import self_dual_generator, verify_inverse_law
+from gform_lab.gforms import product_law, self_dual_generator, verify_inverse_law
 from gform_lab.groups import FiniteAbelianGroup, group_tables
 from gform_lab.number_fields import HomToG, ModularEmbedding, build_field
 from gform_lab.resolvends import (
@@ -190,6 +190,30 @@ def test_product_with_split_identity(k7, h7):
     e = AlgebraElement.split_identity(C3)
     assert product_resolvend(a, e) is a
     assert product_resolvend(e, a) is a
+
+
+def test_a_split_factor_scales_the_product(k7, h7):
+    rng = random.Random(15)
+    a = rand_element(h7, rng)
+    five, third = AlgebraElement(None, 5, group=C3), AlgebraElement(None, Fraction(-1, 3), group=C3)
+    for c in (five, third, AlgebraElement(None, 0, group=C3)):
+        for x, y in ((c, a), (a, c), (c, five), (five, c)):
+            out = product_resolvend(x, y)
+            assert out.is_split == (x.is_split and y.is_split)
+            assert resolvend(out) == resolvend(x) * resolvend(y)
+    assert product_resolvend(five, five) == AlgebraElement(None, 25, group=C3)
+    assert product_resolvend(five, a) == AlgebraElement(h7, a.alpha * 5)
+
+
+def test_the_inverse_of_a_split_element_is_its_reciprocal():
+    one = GroupRingElement.one(C3)
+    for c in (5, Fraction(-2, 7)):
+        a = AlgebraElement(None, c, group=C3)
+        inv = inverse_resolvend(a)
+        assert inv == AlgebraElement(None, 1 / Fraction(c), group=C3)
+        assert resolvend(a) * resolvend(inv) == one
+    with pytest.raises(NotInvertible):
+        inverse_resolvend(AlgebraElement(None, 0, group=C3))
 
 
 def test_product_rejects_conductor_clash(k7, h7):
@@ -609,8 +633,9 @@ def test_modular_embedding_rejects_bad_data():
 
 
 def test_resolvend_checks_build_no_cyclotomic_number(monkeypatch):
-    # from fresh fields to the verdicts of is_self_dual, the pairing identity
-    # and the inverse law, no CyclotomicNumber is constructed
+    # from fresh fields to the verdicts of is_self_dual, the pairing identity,
+    # the inverse law, product_resolvend and the product law, no
+    # CyclotomicNumber is constructed
     monkeypatch.setattr(nf, "_FIELDS", {})
     made = []
 
@@ -634,7 +659,88 @@ def test_resolvend_checks_build_no_cyclotomic_number(monkeypatch):
         assert is_self_dual(w) and not is_self_dual(a)
         assert resolvend_pairing_identity(a, b)
         assert verify_inverse_law(K)
+    # the product law, also above the level cap (7 * 31 = 217, 11 * 31 = 341)
+    for p, f1, f2 in [(3, 7, 13), (3, 7, 31), (5, 11, 31)]:
+        K1, K2 = build_field(p, f1), build_field(p, f2)
+        G = FiniteAbelianGroup((p,))
+        h1, h2 = HomToG(K1, G, G.element((1,))), HomToG(K2, G, G.element((p - 1,)))
+        ab = product_resolvend(_random_coordinates(h1, rng), _random_coordinates(h2, rng))
+        assert ab.hom.field.conductor == f1 * f2
+        assert product_law(K1, K2).holds
     assert made == []
     # the counters are live: the cyclotomic route builds values
     resolvend(a)
     assert made
+
+
+# -- the product law on period coordinates against Q(zeta_(f1 f2)) ----------------
+
+
+def _product_by_cyclotomic_products(a1, a2):
+    """The Q(zeta_(f1 f2)) construction of the product element: r(a1) r(a2)
+    read off at the identity in the composite, and its resolvend
+    recomputed."""
+    G = a1.group
+    composite = nf.compose_fields(a1.hom.field, a2.hom.field,
+                                  weights=a1.hom.product_weights(a2.hom))
+    r = resolvend(a1) * resolvend(a2)
+    out = AlgebraElement(HomToG(composite, G, G.element((1,))), r.coefficient(G.identity()))
+    assert resolvend(out) == r
+    return out
+
+
+def _coordinates_over(hom, rng, den):
+    p = hom.field.degree
+    while True:
+        num = [rng.randint(-9, 9) for _ in range(p)]
+        if any(x % den for x in num):
+            return AlgebraElement._from_coordinates(hom, num, den)
+
+
+# degree 3 with every identification pair; degrees 5 and 7 with three each
+PRODUCT_PAIRS = [(3, f1, f2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+                 for f1, f2 in [(7, 13), (7, 19), (13, 19), (7, 31), (19, 31), (7, 37), (13, 37)]]
+PRODUCT_PAIRS += [(5, 11, 31, [(1, 1), (2, 4), (3, 2)]), (5, 11, 41, [(1, 3), (4, 4), (2, 1)]),
+                  (7, 29, 43, [(1, 1), (3, 5), (6, 2)])]
+
+
+@pytest.mark.parametrize("p, f1, f2, weights", PRODUCT_PAIRS)
+def test_product_resolvend_matches_the_cyclotomic_route(p, f1, f2, weights, monkeypatch):
+    monkeypatch.delenv("GFORM_LAB_MAX_LEVEL", raising=False)
+    G = FiniteAbelianGroup((p,))
+    K1, K2 = build_field(p, f1), build_field(p, f2)
+    rng = random.Random(f1 * f2 + p)
+    for u1, u2 in weights:
+        h1, h2 = HomToG(K1, G, G.element((u1,))), HomToG(K2, G, G.element((u2,)))
+        w1, w2 = self_dual_generator(K1, h1)[1], self_dual_generator(K2, h2)[1]
+        r1, r2 = _coordinates_over(h1, rng, 5), _coordinates_over(h2, rng, 6)
+        pairs = [(w1, w2), (w1, r2), (r1, w2), (r1, r2),
+                 (_coordinates_over(h1, rng, 4), _coordinates_over(h2, rng, 9))]
+        # under the default cap, above it for f1 f2 > 200
+        products = [product_resolvend(a1, a2) for a1, a2 in pairs]
+        with monkeypatch.context() as m:
+            m.setenv("GFORM_LAB_MAX_LEVEL", "5000")
+            for (a1, a2), a in zip(pairs, products):
+                assert a == _product_by_cyclotomic_products(a1, a2), (u1, u2)
+                assert a.hom.sigma_image == G.element((1,))
+
+
+def test_the_product_certificate_rejects_a_wrong_composite(monkeypatch):
+    import gform_lab.resolvends as rsv
+
+    G = FiniteAbelianGroup((3,))
+    K7, K13 = build_field(3, 7), build_field(3, 13)
+    a1 = self_dual_generator(K7, HomToG(K7, G, G.element((1,))))[1]
+    a2 = self_dual_generator(K13, HomToG(K13, G, G.element((2,))))[1]
+    assert product_resolvend(a1, a2) == _product_by_cyclotomic_products(a1, a2)
+    # the composite of the swapped weights: its cosets are not the lines
+    swapped = nf.compose_fields(K7, K13, weights=(2, 1))
+    with monkeypatch.context() as m:
+        m.setattr(rsv, "compose_fields", lambda *args, **kwargs: swapped)
+        with pytest.raises(ArithmeticError, match="cosets"):
+            product_resolvend(a1, a2)
+    # the right composite under h12 = (h1 h2)^-1: no function table fits
+    with monkeypatch.context() as m:
+        m.setattr(rsv, "HomToG", lambda K, G, s: HomToG(K, G, s.inverse()))
+        with pytest.raises(ArithmeticError, match="not an element"):
+            product_resolvend(a1, a2)

@@ -301,14 +301,24 @@ def test_cli_verbs_are_argparse_choices():
 
 
 def test_cli_propcheck_reports_a_raising_check_as_error():
-    proc = run_cli("propcheck", "theorem11", "--json", env={"GFORM_LAB_MAX_LEVEL": "50"})
+    # C9's character resolvents at f = 13 live at level 39, above this cap
+    proc = run_cli("propcheck", "factorization", "--json", env={"GFORM_LAB_MAX_LEVEL": "30"})
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["id"] == "C9"
+    assert check["status"] == "error"
+    assert check["name"] == "resolvent_ratio_factorization"
+    assert check["details"]["error"].startswith("LevelBoundError: level 39 exceeds cap 30")
+
+
+def test_cli_propcheck_product_law_passes_below_its_composite_level():
+    # C7 and C8 build no value in Q(zeta_f): the composite of C8 has level 91
+    proc = run_cli("propcheck", "theorem11", "--json", env={"GFORM_LAB_MAX_LEVEL": "50"})
+    assert proc.returncode == 0
     checks = {c["id"]: c for c in json.loads(proc.stdout)["checks"]}
-    assert checks["C7"]["status"] == "pass"
-    assert checks["C8"]["status"] == "error"
-    assert checks["C8"]["name"] == "product_law_conductor_91"
-    assert checks["C8"]["details"]["error"].startswith("LevelBoundError: level 91 exceeds cap 50")
+    assert checks["C7"]["status"] == checks["C8"]["status"] == "pass"
+    assert checks["C8"]["details"]["composite"] == 91
 
 
 def test_cli_propcheck_reports_a_raising_field_as_error():
