@@ -13,8 +13,8 @@ identity and <v.s, v.t> = <v.(s t^-1), v>: the |G| pairings give
 delta-orthonormality of the whole orbit, and the orbit spans the lattice.
 Every witness element is re-verified on the field side, independently of
 the form: `resolvends.is_self_dual` compares the trace table from the
-field's integer Gram with 1 and certifies r(a) r(a)^[-1] = 1 in F_q[G]
-under the field's modular embeddings, and the HNF span test of
+field's integer Gram with 1 and decides r(a) r(a)^[-1] = 1 on the field's
+certified multiplication table, and the HNF span test of
 `is_self_dual_generator` checks that the orbit spans A. The inverse and
 product laws build their elements on period coordinates and certify their
 resolvends exactly, so no step builds a value in Q(zeta_f).

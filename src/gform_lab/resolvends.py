@@ -12,24 +12,24 @@ The resolvend identity r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1} has a
 side in K[G] and a rational one. The right side, the trace table, is read
 off the period coordinates and the integer trace Gram of the field, which
 was verified against the cyclotomic trace when the field was built. The
-left side is decided in F_q[G] (`_resolvend_product_is`): the field's
-`ModularEmbedding` reduces O_K modulo a prime q = 1 mod f, which splits
-completely, so O_K/qO_K = F_q^p through the p embeddings eta_t -> e_(t+k);
-the periods are a Z-basis of O_K by the discriminant certificate, and q
-exceeds twice a bound on the period coordinates of the difference of the
-two sides, so agreement under every embedding is equality in K[G].
-`is_self_dual` decides by both routes, which must agree; the pairing
-identity and the inverse law (`inverse_resolvend`, which builds the inverse
-element on period coordinates) are certified the same way, and
-`product_resolvend` reads its product off the tensor basis of the compositum
-and certifies it in integers. None of the four builds a value in Q(zeta_f);
-only `resolvend` and the factorization check run on cyclotomic coefficients.
+left side is computed exactly on the certified table
+(`_resolvend_product_is`): the periods are a Z-basis of O_K by the
+discriminant certificate, sigma shifts the integer multiplication table, so
+every product in K[G] is an integer vector of period coordinates, compared
+with the rational target coordinate by coordinate. `is_self_dual` decides
+by both routes, which must agree; the pairing identity and the inverse law
+(`inverse_resolvend`, which builds the inverse element on period
+coordinates) are decided the same way, and `product_resolvend` reads its
+product off the tensor basis of the compositum and certifies it in
+integers. None of the four builds a value in Q(zeta_f); only `resolvend`
+and the factorization check run on cyclotomic coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from . import linalg
 from .arith import is_prime, over_common_denominator
@@ -181,20 +181,20 @@ def _trace_table(a: AlgebraElement, b: AlgebraElement) -> GroupRingElement:
 def _resolvend_product_is(a: AlgebraElement, b: AlgebraElement, target: GroupRingElement,
                           involute: bool) -> bool:
     """Whether r(a) r(b)^[-1] (involute) or r(a) r(b) is the rational
-    group-ring element target. Split elements multiply their rational
-    resolvends in QG. Elements of field algebras over one field and one
-    group (the identifications may differ) are decided exactly in F_q[G]
-    under each of the p embeddings phi_k of `ModularEmbedding`.
+    group-ring element target, decided exactly on the certified table.
+    Split elements multiply their rational resolvends in QG; elements of
+    field algebras over one field and one group (the identifications may
+    differ) multiply in K[G] on integer period coordinates.
 
-    With a = x/da and b = y/db on integer period coordinates and
-    target = t/dt, the coefficient at u of dt (da db (left - target)) is an
-    element X_u of O_K, and phi_k(X_u) is its image mod q, computed from
-    phi_k(sigma^m x) = sum_t x_t e_(t+k+m). Each coordinate of a product of
-    integer x' and y' is at most table_bound |x'|_1 |y'|_1, so the
-    coordinates of X_u are at most
-    B = dt |G| table_bound |x|_1 |y|_1 + max|t| da db. The embedding is
-    taken with q > 2B (`PeriodField.modular_embedding` takes a larger q or
-    raises), so phi_k(X_u) = 0 for every k exactly when X_u = 0."""
+    With a = x/da and b = y/db, a(s) = sigma^j(x) and b(s) = sigma^k(y), j
+    and k the `galois_power` of s under each element's own identification.
+    sigma is a ring automorphism (the field certifies that it shifts the
+    table), so sigma^j(x) sigma^k(y) = sigma^j(P_(k-j)) for the p products
+    P_d = x sigma^d(y), read off the multiplication matrix of x. A rational
+    c has the period coordinates mu(f) c (1, ..., 1), because
+    1 = mu(f) (eta_0 + ... + eta_(p-1)), so for target = t/dt the identity
+    holds exactly when every coordinate of the integer coefficient at u,
+    times dt, is t_u da db mu(f)."""
     if a.is_split:
         rb = resolvend(b)
         return resolvend(a) * (rb.involute() if involute else rb) == target
@@ -202,35 +202,29 @@ def _resolvend_product_is(a: AlgebraElement, b: AlgebraElement, target: GroupRin
     if b.is_split or b.hom.field is not K or b.group != G:
         raise ValueError("elements live over different fields or groups")
     p = K.degree
-    bound = (target.den * G.order * K.table_bound * sum(map(abs, a.num)) * sum(map(abs, b.num))
-             + max(map(abs, target.num)) * a.den * b.den)
-    emb = K.modular_embedding(bound)
-    q = emb.modulus
-    xs, ys = emb.images(a.num), emb.images(b.num)
+    times_alpha = linalg.transpose(K.multiplication_matrix(a.num))
+    products = [linalg.mat_vec(times_alpha, K.sigma_coords(b.num, d)) for d in range(p)]
     T = group_tables(G)
     ja = [a.hom.galois_power(s) for s in T.elements]
     jb = [b.hom.galois_power(s) for s in T.elements]
     # where a(s) and b(s) sit: at s^-1 in r(a) and r(b), at s in r(b)^[-1]
     at_a, at_b = T.inverse, (range(len(jb)) if involute else T.inverse)
-    rhs = [c * a.den * b.den for c in target.num]
-    for k in range(p):
-        # the integer convolution of GroupRingElement.__mul__, on residues
-        acc = [0] * len(rhs)
-        yk = [(l, ys[(k + j) % p]) for l, j in zip(at_b, jb)]
-        for i, j in zip(at_a, ja):
-            x, row = xs[(k + j) % p], T.prod[i]
-            for l, y in yk:
-                acc[row[l]] += x * y
-        if any((c * target.den - r) % q for c, r in zip(acc, rhs)):
-            return False
-    return True
+    acc = [[0] * p for _ in T.elements]
+    for i, j in zip(at_a, ja):
+        row, cut = T.prod[i], p - j
+        for l, k in zip(at_b, jb):
+            # sigma^j(alpha) sigma^k(beta) = sigma^j(P_(k-j)), the shift as a rotation
+            product = products[(k - j) % p]
+            acc[row[l]] = list(map(add, acc[row[l]], product[cut:] + product[:cut]))
+    scale = a.den * b.den * K.trace_of_period
+    return all(c * target.den == t * scale for coeff, t in zip(acc, target.num) for c in coeff)
 
 
 def resolvend_pairing_identity(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Exact check of r(a) r(b)^[-1] = sum_s Tr((s.a) b) s^{-1}. The right
     side is the trace table from the integer Gram (`_trace_table`); the left
-    side is decided exactly in F_q[G] (`_resolvend_product_is`), or in QG
-    for the split algebra."""
+    side is decided on the certified table (`_resolvend_product_is`), or in
+    QG for the split algebra."""
     a._same_algebra(b)
     return _resolvend_product_is(a, b, _trace_table(a, b), involute=True)
 
@@ -239,7 +233,7 @@ def is_self_dual(a: AlgebraElement) -> bool:
     """Self-duality of a for the trace form, decided by two independent
     routes that must agree: the Gram route compares the trace table
     sum_s Tr((s.a) a) s^{-1} with 1, that is Tr((s.a) a) = delta(s), and the
-    resolvend route checks r(a) r(a)^[-1] = 1, exactly in F_q[G]
+    resolvend route checks r(a) r(a)^[-1] = 1 on the certified table
     (`_resolvend_product_is`), or in QG for the split algebra. Raises
     AssertionError when they disagree."""
     one = GroupRingElement.one(a.group)
@@ -256,8 +250,8 @@ def inverse_resolvend(a: AlgebraElement) -> AlgebraElement:
     the rational trace table T(a), so r(a)^-1 = r(a)^[-1] t for t = T(a)^-1,
     and only T is inverted, in QG. The value at the identity of
     r(a)^[-1] t is alpha' = sum_g t_(g^-1) sigma^j(g)(alpha), built on
-    period coordinates; r(a) r(alpha') = 1 is then certified exactly in
-    F_q[G] (`_resolvend_product_is`), which proves that alpha' has the
+    period coordinates; r(a) r(alpha') = 1 is then decided on the certified
+    table (`_resolvend_product_is`), which proves that alpha' has the
     inverse resolvend. A split c has the inverse 1/c. Raises NotInvertible
     when r(a), equivalently T(a), is not invertible."""
     if a.is_split:

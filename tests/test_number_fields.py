@@ -8,7 +8,7 @@ import gform_lab.number_fields as nf
 from gform_lab import linalg
 from gform_lab.arith import euler_phi, factorize, is_squarefree, moebius, units_mod
 from gform_lab.cyclotomic import CyclotomicNumber
-from gform_lab.gforms import gform_from_A, self_dual_generator
+from gform_lab.gforms import gform_from_A, product_law, self_dual_generator
 from gform_lab.suites import sieve_conductors
 from gform_lab.groups import FiniteAbelianGroup
 from gform_lab.number_fields import (
@@ -250,6 +250,28 @@ def test_compose_rejections(k7, k13):
         compose_fields(k7, k7)  # conductor clash
     with pytest.raises(FieldConstructionError):
         compose_fields(k7, k13, weights=(1, 3))  # weight 0 mod 3 drops the order
+
+
+def test_a_repeated_composite_builds_no_character(k7, k13, monkeypatch):
+    first = compose_fields(k7, k13, weights=(1, 2))
+    law = product_law(k7, k13)
+    made = []
+    monkeypatch.setattr(nf, "units_mod", lambda f: made.append(f) or units_mod(f))
+    # weights (4, 5) are (1, 2) mod 3: the same request
+    assert compose_fields(k7, k13, weights=(4, 5)) is first
+    assert product_law(k7, k13).composite is law.composite
+    # the checks run before the store is read
+    with pytest.raises(FieldConstructionError):
+        compose_fields(k7, k7)
+    with pytest.raises(FieldConstructionError):
+        compose_fields(k7, k13, weights=(1, 3))
+    assert made == []
+    # an emptied field store builds and interns the composite again
+    monkeypatch.setattr(nf, "_FIELDS", {})
+    fresh = compose_fields(k7, k13, weights=(1, 2))
+    assert made == [91] and fresh == first and fresh is not first
+    assert compose_fields(k7, k13, weights=(1, 2)) is fresh
+    assert made == [91]
 
 
 def test_hom_to_g(k7):

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from gform_lab import linalg
 from gform_lab import number_fields as nf
@@ -17,7 +16,7 @@ from gform_lab.group_ring import (
 )
 from gform_lab.gforms import product_law, self_dual_generator, verify_inverse_law
 from gform_lab.groups import FiniteAbelianGroup, group_tables
-from gform_lab.number_fields import HomToG, ModularEmbedding, build_field
+from gform_lab.number_fields import HomToG, build_field
 from gform_lab.resolvends import (
     AlgebraElement,
     _resolvend_product_is,
@@ -462,11 +461,12 @@ def test_witness_element_is_the_element_of_its_coordinates(p, f):
         assert a == AlgebraElement(hom, K.element(num, w.form.basis_den)), u
 
 
-# -- resolvend products certified in F_q against Q(zeta_f) ----------------------
+# -- resolvend products on the certified table against Q(zeta_f) -----------------
 
-# every admissible field of degree 3 and 5 with conductor at most 200; the
-# composites 91 and 133 are among them
+# every admissible field of degree 3 and 5 with conductor at most 200, the
+# composites 91 and 133 among them, and two fields of degree 7
 CERTIFIED_FIELDS = [(p, f) for p in (3, 5) for f in sieve_conductors(p, 200)]
+CERTIFIED_FIELDS += [(7, 29), (7, 43)]
 
 
 def _inverse_by_cyclotomic_products(a):
@@ -493,13 +493,6 @@ def test_certified_resolvend_products_match_the_cyclotomic_route(p, f):
     G = FiniteAbelianGroup((p,))
     one = GroupRingElement.one(G)
     rng = random.Random(7 * f + p)
-    emb = K.modular_embedding()
-    assert sympy.isprime(emb.modulus) and emb.modulus % f == 1
-    assert sympy.n_order(emb.root, emb.modulus) == f
-    # e_t is eta_t reduced at zeta_f -> omega
-    for t, eta in enumerate(K.periods):
-        raw = sum(c * pow(emb.root, i, emb.modulus) for i, c in enumerate(eta.num))
-        assert (raw - eta.den * emb.periods[t]) % emb.modulus == 0
     for u in (1, p - 1):
         hom = HomToG(K, G, G.element((u,)))
         elements = [self_dual_generator(K, hom)[1]]
@@ -549,87 +542,40 @@ def test_pairing_identity_fails_on_a_wrong_trace_table(k7, h7, monkeypatch):
     assert not any(resolvend_pairing_identity(a, b) for a, b in pairs)
 
 
-def test_an_undersized_modulus_is_replaced_and_an_unprovable_one_raises(monkeypatch):
+def test_any_coordinate_size_decides():
+    # no bound and no modulus: coordinates near 2^45 and 2^90 at (3, 13) get
+    # the verdict of the Q(zeta_13) products, for every check
     K = build_field(3, 13)
     hom = HomToG.standard(K)
-    small = ModularEmbedding.above(K, 1 << 16)
-    q = small.modulus
-    monkeypatch.setattr(K, "_embedding", small)
-    rng = random.Random(13)
-    a = AlgebraElement._from_coordinates(hom, [rng.randint(-3, 3) for _ in range(3)], 1)
-    b = AlgebraElement._from_coordinates(hom, [rng.randint(-3, 3) for _ in range(3)], 1)
-    table = _trace_table(a, b)
-    assert table.den == 1
-    assert _resolvend_product_is(a, b, table, involute=True)
-    assert K._embedding is small  # the operands' bound is below q / 2
-    # table + q agrees with the left side mod the small q at every embedding,
-    # and its own size raises the bound past q / 2
-    shifted = table + GroupRingElement.scalar(C3, q)
-    assert not _resolvend_product_is(a, b, shifted, involute=True)
-    assert K._embedding.modulus > 2 * q
-    assert _resolvend_product_is(a, b, table, involute=True)
-    # a bound past the proven range of the primality test raises
-    huge = AlgebraElement._from_coordinates(hom, [2**45, 1, -(2**45)], 1)
-    kept = K._embedding
-    with pytest.raises(ValueError, match="beyond the range"):
-        is_self_dual(huge)
-    assert K._embedding is kept
+    one = GroupRingElement.one(C3)
+    rng = random.Random(29)
 
+    def near(bits, inverse=False):
+        num = [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(3)]
+        return AlgebraElement._from_coordinates(
+            hom.inverse_hom() if inverse else hom, num, rng.randint(1, 1 << 20))
 
-def test_one_embedding_is_not_enough(monkeypatch):
-    # under a small certified q, r(a) r(c) for a and c in one algebra is not
-    # rational, yet its image under phi_0 (zeta_f -> omega) is that of a
-    # small rational target; only the other embeddings tell them apart
-    K = build_field(3, 7)
-    hom = HomToG.standard(K)
-    small = ModularEmbedding.above(K, 1 << 16)
-    q, omega = small.modulus, small.root
-    monkeypatch.setattr(K, "_embedding", small)
-    rng = random.Random(15)
-    checked = 0
-    while checked < 5:
-        a, c = (AlgebraElement._from_coordinates(hom, [rng.randint(-2, 2) for _ in range(3)], 1)
-                for _ in range(2))
-        left = (resolvend(a) * resolvend(c)).demoted()
-        assert not left.is_rational()
-        residues = {}
-        for s, value in left.coeffs.items():
-            raw = sum(x * pow(omega, i, q) for i, x in enumerate(value.num))
-            r = raw * pow(value.den, -1, q) % q
-            residues[s] = r if r <= q // 2 else r - q
-        operands = 3 * K.table_bound * sum(map(abs, a.num)) * sum(map(abs, c.num))
-        if 2 * (operands + max(map(abs, residues.values()))) >= q:
-            continue  # the target is too large for the small q
-        target = GroupRingElement(C3, residues)
-        assert not _resolvend_product_is(a, c, target, involute=False)
-        assert K._embedding is small
-        checked += 1
-
-
-def test_modular_embedding_rejects_bad_data():
-    K = build_field(3, 91)
-    emb = K.modular_embedding()
-    q, root = emb.modulus, emb.root
-    assert ModularEmbedding(K, q, root) == emb
-    # orders 13, 7 and 2 * 91 instead of 91
-    for wrong in (pow(root, 7, q), pow(root, 13, q), q - root):
-        with pytest.raises(ValueError, match="does not have order 91"):
-            ModularEmbedding(K, q, wrong)
-    for modulus in (q + 2, 1 + 91 * 3, 2**31 - 1):  # composite or not 1 mod 91
-        with pytest.raises(ValueError, match="not a prime = 1 mod 91"):
-            ModularEmbedding(K, modulus, root)
-    # a table the periods do not satisfy
-    fake = type("Fake", (), {name: getattr(K, name) for name in (
-        "degree", "conductor", "character", "ramified_primes", "trace_of_period", "gram")})()
-    fake.mult_table = tuple(tuple(reversed(row)) for row in K.mult_table)
-    with pytest.raises(ArithmeticError, match="period tables"):
-        ModularEmbedding(fake, q, root)
-    # a Gram the periods do not satisfy
-    fake.mult_table = K.mult_table
-    assert ModularEmbedding(fake, q, root).periods == emb.periods
-    fake.gram = tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(K.gram))
-    with pytest.raises(ArithmeticError, match="period tables"):
-        ModularEmbedding(fake, q, root)
+    a = AlgebraElement._from_coordinates(hom, [2**45, 1, -(2**45)], 1)
+    elements = [a, near(90), near(90)]
+    for x in elements:
+        r = resolvend(x)
+        assert is_self_dual(x) is (r * r.involute() == one) is False
+        for y in elements:
+            left = (r * resolvend(y).involute()).demoted()
+            assert left == _trace_table(x, y)
+            assert resolvend_pairing_identity(x, y)
+            assert _resolvend_product_is(x, y, left, involute=True)
+            assert not _resolvend_product_is(x, y, left + one, involute=True)
+            # r(x) r(y) is not rational within one algebra
+            assert not (r * resolvend(y)).demoted().is_rational()
+            assert not _resolvend_product_is(x, y, one, involute=False)
+        c = near(90, inverse=True)
+        left = (r * resolvend(c)).demoted()
+        assert left.is_rational()
+        assert _resolvend_product_is(x, c, left, involute=False)
+        assert not _resolvend_product_is(x, c, left + one, involute=False)
+    # the inverse law on the 2^45 element: a true verdict at that size
+    assert inverse_resolvend(a) == _inverse_by_cyclotomic_products(a)
 
 
 def test_resolvend_checks_build_no_cyclotomic_number(monkeypatch):
